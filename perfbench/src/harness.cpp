@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/vfs.h>
 #include <unistd.h>
@@ -304,14 +305,25 @@ bool AnyShutdownStalled() {
   return !ParkedList().empty();
 }
 
-void RunOnFreshThreads(int threads, int per_thread,
-                       const std::function<void(int)>& body) {
-  for (int t = 0; t < threads; ++t) {
-    std::thread worker([&body, t, per_thread] {
-      for (int i = 0; i < per_thread; ++i) body(t * per_thread + i);
-    });
-    worker.join();
+void RunPinned(uint64_t k, const std::function<void()>& fn) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(original), &original) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &original)) cpus.push_back(c);
+    }
   }
+  if (cpus.empty()) {
+    fn();
+    return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus[k % cpus.size()], &one);
+  sched_setaffinity(0, sizeof(one), &one);
+  fn();
+  sched_setaffinity(0, sizeof(original), &original);
 }
 
 double MedianOf(std::vector<double> v) {

@@ -197,13 +197,13 @@ bool AnyShutdownStalled();
 /// Deadline for one CollectionServer::Shutdown().
 inline constexpr int kShutdownDeadlineMs = 3000;
 
-/// Runs body(0 .. threads * per_thread - 1) in order, `per_thread` calls
-/// on each of `threads` freshly started threads, one thread at a time.
-/// Repeated set-up timings use it so that their median mixes whatever
-/// differs between threads (core placement, warm state) instead of
-/// inheriting one thread's luck.
-void RunOnFreshThreads(int threads, int per_thread,
-                       const std::function<void(int)>& body);
+/// Runs fn() on the calling thread pinned to the (k mod n)-th of the n
+/// CPUs the process may use, then restores the thread's affinity; threads
+/// fn() starts inherit the pin. Set-up samples taken with k = 0, 1, 2, ...
+/// mix every CPU instead of inheriting the neighbours of the one the
+/// scheduler happened to keep the thread on. Runs unpinned when the
+/// affinity cannot be read.
+void RunPinned(uint64_t k, const std::function<void()>& fn);
 
 /// Median of a small vector (copy).
 double MedianOf(std::vector<double> v);

@@ -1,9 +1,9 @@
 // perfbench_runner: runs one benchmark workload and prints its metrics.
 //
-//   perfbench_runner --workload grr-wire --seed 1 --seconds 10 --trace 0
+//   perfbench_runner --workload solh-fleet --seed 1 --seconds 10 --trace 0
 //                    [--work-dir DIR]
 //
-// Workloads: grr-wire, grr-durable, solh-fleet, peos-crypto (see
+// Workloads: solh-fleet, peos-crypto (see
 // BENCHMARK.json for why each exists). Every metric is printed by name
 // with its unit; the last stdout line is one JSON object
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
@@ -30,7 +30,7 @@ using perfbench::RunReport;
 int Usage(const char* msg) {
   std::fprintf(stderr,
                "perfbench_runner: %s\nusage: perfbench_runner --workload "
-               "{grr-wire|grr-durable|solh-fleet|peos-crypto} --seed N "
+               "{solh-fleet|peos-crypto} --seed N "
                "--seconds S --trace {0|1} [--work-dir DIR]\n",
                msg);
   return 2;
@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
   }
 
   perfbench::WorkloadFn fn = nullptr;
-  if (options.workload == "grr-wire") fn = perfbench::RunGrrWire;
-  if (options.workload == "grr-durable") fn = perfbench::RunGrrDurable;
   if (options.workload == "solh-fleet") fn = perfbench::RunSolhFleet;
   if (options.workload == "peos-crypto") fn = perfbench::RunPeosCrypto;
   if (fn == nullptr) return Usage("unknown workload");

@@ -35,8 +35,10 @@ constexpr uint64_t kUsers = 20000;
 constexpr uint64_t kDomain = 915;
 constexpr uint32_t kShufflers = 3;
 constexpr unsigned kThreads = 4;
-constexpr int kSetupThreads = 8;
-constexpr int kSetupsPerThread = 13;
+/// setup_s samples taken before the first round and after every round.
+constexpr int kSetupSamplesPerRound = 8;
+/// Create calls one setup_s sample averages (one call takes microseconds).
+constexpr int kCreatesPerSample = 32;
 /// Leading rounds whose utility enters mse_over_predicted.
 constexpr size_t kMseRounds = 5;
 /// Rows the single-thread encrypt/decrypt replays time.
@@ -179,32 +181,44 @@ RunReport RunPeosCrypto(const RunOptions& options) {
   Tracer tracer;
   Tracer* traced = options.trace ? &tracer : nullptr;
 
-  // --- Setup: the 4-thread pool plus create (planning + oracle), repeated --
-  std::vector<double> setup_s;
-  std::unique_ptr<shuffledp::ThreadPool> pool;
+  // --- Setup: create (planning + oracle) ------------------------------------
+  // setup_s is the median of its samples, taken before the first round and
+  // after every round, outside the rounds' timing, with the thread moved
+  // across every CPU in turn. So they see the same host conditions as the
+  // rounds do: samples taken in one burst on one CPU sat in a single host
+  // state, and their median moved by up to 40% between processes. The pool
+  // is made once, untimed.
+  auto pool = std::make_unique<shuffledp::ThreadPool>(kThreads);
+  core::ShuffleDpCollector::Options collector_options;
+  collector_options.num_shufflers = kShufflers;
+  collector_options.pool = pool.get();
+  Samples setup_s;
   std::unique_ptr<core::ShuffleDpCollector> collector;
-  {
-    ScopedSpan span(traced, "setup");
-    RunOnFreshThreads(kSetupThreads, kSetupsPerThread, [&](int) {
-      ScopedSpan s(traced, "create");
-      const int64_t t0 = NowNs();
-      auto next_pool = std::make_unique<shuffledp::ThreadPool>(kThreads);
-      core::ShuffleDpCollector::Options collector_options;
-      collector_options.num_shufflers = kShufflers;
-      collector_options.pool = next_pool.get();
-      auto created = core::ShuffleDpCollector::Create(
-          core::PrivacyGoals{}, kUsers, kDomain, collector_options);
-      setup_s.push_back(static_cast<double>(NowNs() - t0) * 1e-9);
-      if (!created.ok()) {
-        report.ops.Check(false, "create: " + created.status().ToString());
-        return;
-      }
-      report.ops.Ok();
-      collector = std::move(created).value();
-      pool = std::move(next_pool);
-    });
-  }
-  if (collector == nullptr) return report;
+  auto sample_setup = [&](Tracer* t) {
+    ScopedSpan span(t, "setup");
+    bool ok = true;
+    for (int k = 0; k < kSetupSamplesPerRound; ++k) {
+      RunPinned(k, [&] {
+        ScopedSpan s(t, "create");
+        const int64_t t0 = NowNs();
+        for (int i = 0; ok && i < kCreatesPerSample; ++i) {
+          auto created = core::ShuffleDpCollector::Create(
+              core::PrivacyGoals{}, kUsers, kDomain, collector_options);
+          if (!created.ok()) {
+            report.ops.Check(false, "create: " + created.status().ToString());
+            ok = false;
+          } else if (collector == nullptr) {
+            // The first collector serves the rounds; later ones are dropped.
+            collector = std::move(created).value();
+          }
+        }
+        setup_s.Add(static_cast<double>(NowNs() - t0) * 1e-9 / kCreatesPerSample);
+      });
+    }
+    if (ok) report.ops.Ok();
+    return ok;
+  };
+  if (!sample_setup(traced)) return report;
   const auto& plan = collector->plan();
   const uint64_t n_r = plan.n_r;
   const uint64_t rows = kUsers + n_r;
@@ -220,62 +234,72 @@ RunReport RunPeosCrypto(const RunOptions& options) {
   uint64_t window_rows = 0;
   const ProcUsage usage_before = ReadProcUsage();
 
+  // One round; false when it failed.
+  auto run_round = [&](Tracer* t, Samples* window_rounds) {
+    std::vector<double> truth;
+    auto values = RoundValues(zipf, options.seed, rounds_done, &truth);
+    crypto::SecureRandom rng(RoundSeed(options.seed, rounds_done) ^ 0xA5A5ULL);
+    ScopedSpan span(t, "round", rounds_done);
+    const int64_t t0 = NowNs();
+    auto result = [&] {
+      ScopedSpan s(t, "collect");
+      return collector->Collect(values, &rng);
+    }();
+    const double ms = static_cast<double>(NowNs() - t0) * 1e-6;
+    if (!result.ok()) {
+      report.ops.Check(false, "round " + std::to_string(rounds_done) + ": " +
+                      result.status().ToString());
+      return false;
+    }
+    report.ops.Ok();
+    const auto& r = *result;
+    report.ops.Check(r.reports_decoded + r.reports_invalid == rows &&
+                         r.streaming.rows == rows,
+                     "round " + std::to_string(rounds_done) +
+                         " decodes n + n_r rows");
+    report.ops.Check(r.estimates.size() == kDomain,
+                     "round " + std::to_string(rounds_done) + " estimate size");
+    const double mse = MeanSquaredError(r.estimates, truth);
+    report.ops.Check(
+        mse <= kMaxMseRatio *
+                   AnalyticMse(collector->oracle(), kUsers, n_r, truth),
+        "round " + std::to_string(rounds_done) +
+            " MSE / analytic MSE within bound");
+    report.ops.Check(mse <= kMaxMseRatio * plan.predicted_variance,
+                     "round " + std::to_string(rounds_done) +
+                         " MSE / predicted variance within bound");
+    if (mse_ratio.size() < kMseRounds) {
+      mse_ratio.push_back(mse / plan.predicted_variance);
+    }
+    window_rounds->Add(ms);
+    round_ms.Add(ms);
+    close_ms.Add(r.costs.server_comp_seconds * 1e3);
+    user_s.Add(r.costs.user_comp_ms_per_user * 1e-3 *
+               static_cast<double>(kUsers));
+    shuffler_s.Add(r.costs.aux_comp_seconds);
+    server_s.Add(r.costs.server_comp_seconds);
+    wire_bytes = (static_cast<double>(r.costs.user_comm_bytes_per_user) *
+                      static_cast<double>(kUsers) +
+                  r.costs.aux_comm_mb_per_shuffler * 1024.0 * 1024.0 *
+                      static_cast<double>(kShufflers)) /
+                 static_cast<double>(rows);
+    worker_stats = r.streaming;
+    window_rows += rows;
+    ++rounds_done;
+    return true;
+  };
+  // Timed wall time of a window: set-up samples between rounds excluded.
   auto run_window = [&](double seconds, Tracer* t, Samples* window_rounds) {
     const int64_t start = NowNs();
     const int64_t deadline = start + static_cast<int64_t>(seconds * 1e9);
-    while (NowNs() < deadline) {
-      std::vector<double> truth;
-      auto values = RoundValues(zipf, options.seed, rounds_done, &truth);
-      crypto::SecureRandom rng(RoundSeed(options.seed, rounds_done) ^ 0xA5A5ULL);
-      ScopedSpan span(t, "round", rounds_done);
+    int64_t setup_ns = 0;
+    while (NowNs() < deadline && run_round(t, window_rounds)) {
       const int64_t t0 = NowNs();
-      auto result = [&] {
-        ScopedSpan s(t, "collect");
-        return collector->Collect(values, &rng);
-      }();
-      const double ms = static_cast<double>(NowNs() - t0) * 1e-6;
-      if (!result.ok()) {
-        report.ops.Check(false, "round " + std::to_string(rounds_done) + ": " +
-                        result.status().ToString());
-        return static_cast<double>(NowNs() - start) * 1e-9;
-      }
-      report.ops.Ok();
-      const auto& r = *result;
-      report.ops.Check(r.reports_decoded + r.reports_invalid == rows &&
-                           r.streaming.rows == rows,
-                       "round " + std::to_string(rounds_done) +
-                           " decodes n + n_r rows");
-      report.ops.Check(r.estimates.size() == kDomain,
-                       "round " + std::to_string(rounds_done) + " estimate size");
-      const double mse = MeanSquaredError(r.estimates, truth);
-      report.ops.Check(
-          mse <= kMaxMseRatio *
-                     AnalyticMse(collector->oracle(), kUsers, n_r, truth),
-          "round " + std::to_string(rounds_done) +
-              " MSE / analytic MSE within bound");
-      report.ops.Check(mse <= kMaxMseRatio * plan.predicted_variance,
-                       "round " + std::to_string(rounds_done) +
-                           " MSE / predicted variance within bound");
-      if (mse_ratio.size() < kMseRounds) {
-        mse_ratio.push_back(mse / plan.predicted_variance);
-      }
-      window_rounds->Add(ms);
-      round_ms.Add(ms);
-      close_ms.Add(r.costs.server_comp_seconds * 1e3);
-      user_s.Add(r.costs.user_comp_ms_per_user * 1e-3 *
-                 static_cast<double>(kUsers));
-      shuffler_s.Add(r.costs.aux_comp_seconds);
-      server_s.Add(r.costs.server_comp_seconds);
-      wire_bytes = (static_cast<double>(r.costs.user_comm_bytes_per_user) *
-                        static_cast<double>(kUsers) +
-                    r.costs.aux_comm_mb_per_shuffler * 1024.0 * 1024.0 *
-                        static_cast<double>(kShufflers)) /
-                   static_cast<double>(rows);
-      worker_stats = r.streaming;
-      window_rows += rows;
-      ++rounds_done;
+      const bool ok = sample_setup(t);
+      setup_ns += NowNs() - t0;
+      if (!ok) break;
     }
-    return static_cast<double>(NowNs() - start) * 1e-9;
+    return static_cast<double>(NowNs() - start - setup_ns) * 1e-9;
   };
 
   Samples untraced_rounds, traced_rounds;
@@ -284,6 +308,7 @@ RunReport RunPeosCrypto(const RunOptions& options) {
   if (options.trace) {
     run_window(options.seconds / 2, nullptr, &untraced_rounds);
     round_ms = Samples();
+    close_ms = Samples();
     window_rows = 0;
     wall_s = run_window(options.seconds / 2, traced, &traced_rounds);
     if (!traced_rounds.empty() && !untraced_rounds.empty()) {
@@ -301,7 +326,7 @@ RunReport RunPeosCrypto(const RunOptions& options) {
   e2e.Set("reports_per_s", static_cast<double>(window_rows) / wall_s, "1/s");
   e2e.Set("round_ms_p50", round_ms.Median(), "ms");
   e2e.Set("close_ms_p50", close_ms.Median(), "ms");
-  e2e.Set("setup_s", MedianOf(setup_s), "s");
+  e2e.Set("setup_s", setup_s.Median(), "s");
   e2e.Set("peak_rss_mb", PeakRssMb(), "MiB");
   e2e.Set("wire_bytes_per_report", wire_bytes, "B");
   e2e.Set("mse_over_predicted",
@@ -310,8 +335,8 @@ RunReport RunPeosCrypto(const RunOptions& options) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "rounds: %zu in %.3f s; close = server compute per round "
-                "(keygen + decrypt + estimate)",
-                round_ms.size(), wall_s);
+                "(keygen + decrypt + estimate); setup: median of %zu samples",
+                round_ms.size(), wall_s, setup_s.size());
   report.notes.push_back(buf);
   report.notes.push_back(TailNote("round_ms_tail", round_ms));
   report.notes.push_back(TailNote("close_ms_tail", close_ms));

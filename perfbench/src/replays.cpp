@@ -54,7 +54,6 @@ void InitPerLayerMetrics(RunReport* out) {
       {"transport.frames", "count/round"},
       {"transport.protocol_errors", "count"},
       {"transport.batches_deduped", "count"},
-      {"transport.setup_ms", "ms"},
       {"transport.shutdown_ms", "ms"},
       {"transport.shutdown_stalls", "count"},
       {"transport.query_ms_p50", "ms"},
@@ -210,17 +209,17 @@ void ReplayWorker(const ReplayInput& in, Tracer* tracer, RunReport* out) {
                      static_cast<double>(st.queue_high_water), "count");
 }
 
-void ReplaySupportAndCalibrate(const ReplayInput& in, bool run_support,
-                               Tracer* tracer, RunReport* out) {
+void ReplaySupportAndCalibrate(const ReplayInput& in, Tracer* tracer,
+                               RunReport* out) {
   ScopedSpan span(tracer, "replay.support");
   const auto& oracle = *in.oracle;
   const uint64_t d = oracle.domain_size();
-  if (run_support) {
-    const uint32_t parts_n = in.fleet_map ? in.fleet_map->partitions() : 1;
+  {
+    const uint32_t parts_n = in.fleet_map->partitions();
     std::vector<std::vector<ldp::LdpReport>> reports(parts_n);
     const auto& frames = in.round->frames;
     for (size_t b = 0; b < frames.size(); ++b) {
-      const uint32_t owner = in.fleet_map ? in.fleet_map->OwnerOfBatch(b) : 0;
+      const uint32_t owner = in.fleet_map->OwnerOfBatch(b);
       auto decoded = DecodeValid(oracle, frames[b]);
       reports[owner].insert(reports[owner].end(), decoded.begin(),
                             decoded.end());
@@ -240,8 +239,8 @@ void ReplaySupportAndCalibrate(const ReplayInput& in, bool run_support,
                          NsSince(t0) / static_cast<double>(rows ? rows : 1),
                          "ns");
     }
-    std::vector<uint64_t> merged = parts[0];
-    if (in.fleet_map != nullptr) {
+    std::vector<uint64_t> merged;
+    {
       ScopedSpan s(tracer, "replay.merge_supports");
       std::vector<double> merge_us;
       bool merge_ok = true;
@@ -294,8 +293,7 @@ void ReplayStore(const ReplayInput& in, Tracer* tracer, RunReport* out) {
   };
 
   // One delta per frame, as the endpoint's worker persists them: the
-  // sparse per-value support increments of the frame's valid reports (a
-  // value histogram for GRR).
+  // sparse per-value support increments of the frame's valid reports.
   const uint64_t d = oracle.domain_size();
   std::vector<service::RoundDelta> deltas;
   for (size_t b = 0; b < frames.size(); ++b) {
@@ -305,12 +303,8 @@ void ReplayStore(const ReplayInput& in, Tracer* tracer, RunReport* out) {
     delta.rows_delta = frames[b].size();
     const auto decoded = DecodeValid(oracle, frames[b]);
     std::vector<uint64_t> counts(d, 0);
-    if (oracle.SupportIsValueEquality()) {
-      for (const auto& rep : decoded) ++counts[rep.value];
-    } else {
-      oracle.AccumulateSupports(decoded.data(), decoded.size(), 0, d,
-                                counts.data());
-    }
+    oracle.AccumulateSupports(decoded.data(), decoded.size(), 0, d,
+                              counts.data());
     for (uint64_t v = 0; v < d; ++v) {
       if (counts[v] != 0) delta.support_deltas.emplace_back(v, counts[v]);
     }

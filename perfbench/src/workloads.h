@@ -1,4 +1,4 @@
-// The four benchmark workloads and the layer replays they share.
+// The benchmark workloads and the layer replays they share.
 //
 // Every workload sizes itself with core::PlanPeos at default PrivacyGoals,
 // pre-encodes its rounds (user reports plus the planner's fake blanket)
@@ -24,8 +24,6 @@ namespace perfbench {
 /// A workload entry point.
 using WorkloadFn = RunReport (*)(const RunOptions&);
 
-RunReport RunGrrWire(const RunOptions& options);
-RunReport RunGrrDurable(const RunOptions& options);
 RunReport RunSolhFleet(const RunOptions& options);
 RunReport RunPeosCrypto(const RunOptions& options);
 
@@ -57,7 +55,7 @@ struct ReplayInput {
   uint64_t n = 0;
   uint64_t n_r = 0;
   std::string work_dir;
-  /// Set for partitioned fleets: per-partition supports are merged.
+  /// The fleet's map: per-endpoint supports are merged through it.
   const shuffledp::service::PartitionMap* fleet_map = nullptr;
 };
 
@@ -70,12 +68,11 @@ void ReplayWireLayers(const ReplayInput& in, Tracer* tracer, RunReport* out);
 /// (serial) options. Sets the worker.* metrics.
 void ReplayWorker(const ReplayInput& in, Tracer* tracer, RunReport* out);
 
-/// oracle.AccumulateSupports over the round's decoded reports (and, for a
-/// fleet, PartitionMap::MergeSupports of the per-endpoint parts), plus
-/// CalibrateEstimatesOrdinal. Sets ldp.support_ns_per_report,
-/// partition.merge_us and ldp.calibrate_us.
-void ReplaySupportAndCalibrate(const ReplayInput& in, bool run_support,
-                               Tracer* tracer, RunReport* out);
+/// oracle.AccumulateSupports over each endpoint's decoded reports,
+/// PartitionMap::MergeSupports of the parts, and CalibrateEstimatesOrdinal.
+/// Sets ldp.support_ns_per_report, partition.merge_us and ldp.calibrate_us.
+void ReplaySupportAndCalibrate(const ReplayInput& in, Tracer* tracer,
+                               RunReport* out);
 
 /// SegmentedRoundStore replay (Open, AppendDelta per frame,
 /// FinalizeRound, CloseRound, Query, reopen + LoadAll) on a fresh store
