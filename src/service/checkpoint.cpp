@@ -148,7 +148,7 @@ Status WriteFramedFile(const std::string& path, const uint8_t magic[4],
   }
   ByteWriter file(kHeaderBytes + payload.size());
   file.PutBytes(magic, 4);
-  file.PutU8(kCheckpointVersion);
+  file.PutU8(kFramedFileVersion);
   file.PutU8(0);
   file.PutU8(0);
   file.PutU8(0);
@@ -196,7 +196,7 @@ Result<Bytes> ReadFramedFile(const std::string& path, const uint8_t magic[4],
     return Status::DataLoss(std::string(what) + " magic mismatch");
   }
   SHUFFLEDP_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-  if (version != kCheckpointVersion) {
+  if (version != kFramedFileVersion) {
     return Status::DataLoss(std::string("unsupported ") + what +
                             " version " + std::to_string(version));
   }
@@ -219,38 +219,6 @@ Result<Bytes> ReadFramedFile(const std::string& path, const uint8_t magic[4],
                             " CRC mismatch (torn or corrupt)");
   }
   return payload;
-}
-
-Status WriteCheckpoint(const std::string& path,
-                       const CheckpointState& state) {
-  return WriteFramedFile(path, kCheckpointMagic,
-                         SerializeCheckpointPayload(state), "checkpoint");
-}
-
-Result<CheckpointState> ReadCheckpoint(const std::string& path) {
-  SHUFFLEDP_ASSIGN_OR_RETURN(
-      Bytes payload, ReadFramedFile(path, kCheckpointMagic, "checkpoint"));
-  return ParseCheckpointPayload(payload);
-}
-
-void RemoveCheckpoint(const std::string& path) {
-  if (!path.empty()) std::remove(path.c_str());
-}
-
-std::string RoundJournalPath(const std::string& checkpoint_path) {
-  return checkpoint_path + ".result";
-}
-
-Status WriteRoundJournal(const std::string& path,
-                         const RoundJournal& journal) {
-  return WriteFramedFile(path, kJournalMagic,
-                         SerializeJournalPayload(journal), "round journal");
-}
-
-Result<RoundJournal> ReadRoundJournal(const std::string& path) {
-  SHUFFLEDP_ASSIGN_OR_RETURN(
-      Bytes payload, ReadFramedFile(path, kJournalMagic, "round journal"));
-  return ParseJournalPayload(payload);
 }
 
 }  // namespace service

@@ -1,43 +1,31 @@
-// Crash-safe round checkpoints for the streaming collection service.
+// Round-state payload codecs and the framed-file helper shared by the
+// durable round store (round_store.h).
 //
-// A collection round at n = 10^6+ reports is minutes of ingest; a server
-// crash mid-round used to lose every partial shard aggregate. The
-// collector's consumer thread periodically snapshots its round state —
-// merged shard supports, consumed-batch watermark, running tallies, the
-// remaining spot-check dummy multiset — into a CRC-guarded file that is
-// written atomically (temp file + fsync + rename), so the file on disk
-// is always either the previous complete checkpoint or the new one,
-// never a torn mix. On restart, StreamingCollector::RecoverRound()
-// restores the snapshot and returns the watermark; the feeder replays
-// batches from that index (protocol encode phases are deterministic in
-// fixed-size chunks, so replayed batches are bit-identical) and the
-// finished round matches an uninterrupted run exactly.
+// Two payloads describe a round on disk:
 //
-// A second artifact closes the post-round crash window: the checkpoint
-// is removed at the round-close sentinel, so a crash between that
-// sentinel and the drained result being read used to lose the round.
-// Before the unlink, the worker journals the *finalized* round state
-// (supports fully accumulated, tallies final) into a sibling file
-// (`path + ".result"`, same CRC + atomic-rename discipline). Recovery
-// replays the journal through the deterministic finalize/calibrate step
-// and reproduces the round result bitwise — see RoundJournal below.
+//   CheckpointState  a partially drained round — merged shard supports,
+//                    consumed-batch watermark, running tallies, the
+//                    remaining spot-check dummy multiset. A live round's
+//                    segment file embeds it; StreamingCollector::
+//                    RecoverRound() restores it and returns the
+//                    watermark, the feeder replays batches from that
+//                    index (protocol encode phases are deterministic in
+//                    fixed-size chunks, so replayed batches are
+//                    bit-identical), and the finished round matches an
+//                    uninterrupted run exactly.
+//   RoundJournal     a *finalized* round. Everything downstream of it —
+//                    Finalize-order merge and estimator calibration — is
+//                    a deterministic pure function, so replaying the
+//                    journal reproduces the round result bitwise. A
+//                    finalized segment and the WAL kFinalize record
+//                    embed it.
 //
-// File layout (all integers little-endian; see docs/WIRE_FORMAT.md):
-//
-//   offset size field
-//   0      4    magic "SDPK" (0x53 0x44 0x50 0x4B) / "SDPJ" for journals
-//   4      1    version (kCheckpointVersion)
-//   5      3    reserved, zero
-//   8      4    payload length (u32)
-//   12     4    CRC-32 of the payload bytes
-//   16     ..   payload (serialized CheckpointState / RoundJournal)
-//
-// Checkpoint payload: u64 round_id, varint partition index, varint
-// partition count, varint slice lo, varint batches_consumed, varint
-// rows_seen, varint reports_decoded, varint reports_invalid, varint
-// dummies_recognized, varint dummies_expected, varint slice length,
-// that many varint supports, varint dummy-entry count, then per entry
-// u64 packed report, u64 tag, varint remaining count.
+// WriteFramedFile/ReadFramedFile wrap a payload in a 16-byte
+// magic/version/length/CRC header and publish it atomically (temp file +
+// fsync + rename), so the file on disk is always either the previous
+// complete version or the new one, never a torn mix. Layouts (all
+// integers little-endian) are specified in docs/WIRE_FORMAT.md §3–4
+// (payloads) and §7 (header).
 
 #ifndef SHUFFLEDP_SERVICE_CHECKPOINT_H_
 #define SHUFFLEDP_SERVICE_CHECKPOINT_H_
@@ -54,26 +42,23 @@
 namespace shuffledp {
 namespace service {
 
-inline constexpr uint8_t kCheckpointMagic[4] = {'S', 'D', 'P', 'K'};
-inline constexpr uint8_t kJournalMagic[4] = {'S', 'D', 'P', 'J'};
-inline constexpr uint8_t kCheckpointVersion = 2;
-
-/// Checkpointing knobs (part of StreamingOptions).
-struct CheckpointOptions {
-  /// Checkpoint file path; empty disables checkpointing. The writer also
-  /// uses `path + ".tmp"` as the atomic-rename staging file.
-  std::string path;
-  /// Consumed-batch interval between snapshots.
-  uint64_t every_batches = 64;
-};
+/// Version byte of the framed-file header (WriteFramedFile).
+inline constexpr uint8_t kFramedFileVersion = 2;
 
 /// One consistent snapshot of a partially drained round, as of the
 /// moment `batches_consumed` batches had been fully accumulated.
+///
+/// Payload: u64 round_id, varint partition index, varint partition
+/// count, varint slice lo, varint batches_consumed, varint rows_seen,
+/// varint reports_decoded, varint reports_invalid, varint
+/// dummies_recognized, varint dummies_expected, varint slice length,
+/// that many varint supports, varint dummy-entry count, then per entry
+/// u64 packed report, u64 tag, varint remaining count.
 struct CheckpointState {
   uint64_t round_id = 0;
   /// Partition identity of the worker that wrote the snapshot. A
   /// recovered worker refuses a snapshot for a different partition — a
-  /// misrouted checkpoint file must not resurrect another slice's counts.
+  /// misrouted segment must not resurrect another slice's counts.
   uint32_t partition_index = 0;
   uint32_t partition_count = 1;
   uint64_t slice_lo = 0;          ///< first owned value (0 for full domain)
@@ -90,30 +75,16 @@ struct CheckpointState {
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> dummies_remaining;
 };
 
-/// Serializes `state` and writes it to `path` atomically: the payload is
-/// staged in `path + ".tmp"`, fsynced, then renamed over `path`.
-Status WriteCheckpoint(const std::string& path, const CheckpointState& state);
-
-/// Reads and validates a checkpoint file: magic, version, length, and
-/// CRC must all match or the read fails (DataLoss) without returning a
-/// partial state.
-Result<CheckpointState> ReadCheckpoint(const std::string& path);
-
-/// Deletes a checkpoint file if present (round completed). Missing files
-/// are not an error.
-void RemoveCheckpoint(const std::string& path);
-
-/// Finalized state of a *closed* round, journaled before the round
-/// checkpoint is unlinked. Everything downstream of these fields —
-/// Finalize-order merge and estimator calibration — is a deterministic
-/// pure function, so replaying the journal reproduces the RoundResult
-/// bitwise.
+/// Finalized state of a *closed* round, made durable before the result
+/// is handed out. Everything downstream of these fields — Finalize-order
+/// merge and estimator calibration — is a deterministic pure function,
+/// so replaying the journal reproduces the RoundResult bitwise.
 ///
-/// Journal payload ("SDPJ"): u64 round_id, varint partition index,
-/// varint partition count, varint slice lo, varint n, varint n_fake,
-/// u8 calibration, varint reports_decoded, varint reports_invalid,
-/// varint dummies_recognized, varint dummies_expected, varint slice
-/// length, that many varint supports.
+/// Payload: u64 round_id, varint partition index, varint partition
+/// count, varint slice lo, varint n, varint n_fake, u8 calibration,
+/// varint reports_decoded, varint reports_invalid, varint
+/// dummies_recognized, varint dummies_expected, varint slice length,
+/// that many varint supports.
 struct RoundJournal {
   uint64_t round_id = 0;
   uint32_t partition_index = 0;
@@ -129,31 +100,24 @@ struct RoundJournal {
   std::vector<uint64_t> supports;  ///< finalized, length = slice size
 };
 
-/// The journal lives next to its checkpoint: `path + ".result"`.
-std::string RoundJournalPath(const std::string& checkpoint_path);
-
-/// Atomic CRC-guarded write/read of a finalized-round journal, same
-/// staging discipline as the checkpoint itself.
-Status WriteRoundJournal(const std::string& path, const RoundJournal& journal);
-Result<RoundJournal> ReadRoundJournal(const std::string& path);
-
-/// Payload codecs, exported for the durable round store (round_store.h):
-/// its segment files and WAL finalize records embed the exact same
-/// checkpoint/journal payload bytes behind different framing, so legacy
-/// files and store segments stay mutually convertible.
+/// Payload codecs. The parsers reject lying inner lengths, out-of-range
+/// partition fields, and trailing bytes with DataLoss.
 Bytes SerializeCheckpointPayload(const CheckpointState& state);
 Result<CheckpointState> ParseCheckpointPayload(const Bytes& payload);
 Bytes SerializeJournalPayload(const RoundJournal& journal);
 Result<RoundJournal> ParseJournalPayload(const Bytes& payload);
 
-/// Stage + fsync + rename a magic/version/CRC-framed payload (the
-/// 16-byte header documented above): a crash at any point leaves either
-/// the old file or the new one at `path`, never a torn mix. Shared by
-/// checkpoints, round journals, and the round store's segment files.
-/// All storage syscalls go through the fault-injectable wrappers in
-/// wal.h, so ENOSPC surfaces as kResourceExhausted.
+/// Stage + fsync + rename a magic/version/CRC-framed payload (16-byte
+/// header: 4-byte magic, kFramedFileVersion, 3 reserved zero bytes, u32
+/// payload length, CRC-32 of the payload): a crash at any point leaves
+/// either the old file or the new one at `path`, never a torn mix. All
+/// storage syscalls go through the fault-injectable wrappers in wal.h,
+/// so ENOSPC surfaces as kResourceExhausted.
 Status WriteFramedFile(const std::string& path, const uint8_t magic[4],
                        const Bytes& payload, const char* what);
+/// Reads and validates a framed file: magic, version, reserved bytes,
+/// length, and CRC must all match or the read fails (DataLoss) without
+/// returning a partial payload. A missing file is NotFound.
 Result<Bytes> ReadFramedFile(const std::string& path, const uint8_t magic[4],
                              const char* what);
 

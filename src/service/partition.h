@@ -64,6 +64,13 @@ struct PartitionSlice {
   uint64_t hi = 0;     ///< one past the last owned value; 0 = full domain
 
   bool full_domain() const { return lo == 0 && hi == 0; }
+
+  /// This slice with the full-domain marker resolved to [0, domain_size).
+  PartitionSlice Resolved(uint64_t domain_size) const {
+    PartitionSlice resolved = *this;
+    if (full_domain()) resolved.hi = domain_size;
+    return resolved;
+  }
 };
 
 /// The partition layout every party must agree on. Immutable value type;

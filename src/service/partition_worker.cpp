@@ -85,11 +85,7 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
     // processing on the consumer thread, which always makes progress.
     options_.pool = nullptr;
   }
-  slice_ = options_.partition;
-  if (slice_.full_domain()) {
-    slice_.lo = 0;
-    slice_.hi = oracle_.domain_size();
-  }
+  slice_ = options_.partition.Resolved(oracle_.domain_size());
   counter_ = std::make_unique<ShardedSupportCounter>(
       oracle_, options_.num_shards, slice_.lo, slice_.hi);
   drain_counter_ = std::make_unique<ShardedSupportCounter>(
@@ -97,13 +93,8 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
   if (options_.store != nullptr) {
     store_ = options_.store;
   } else {
-    RoundStoreOptions store_options = options_.round_store;
-    store_options.partition_index = slice_.index;
-    store_options.partition_count = slice_.count;
-    store_options.slice_lo = slice_.lo;
-    store_options.slice_width = slice_.hi - slice_.lo;
     Result<std::shared_ptr<RoundStore>> store =
-        OpenRoundStore(store_options, options_.checkpoint);
+        OpenRoundStore(options_.round_store, slice_);
     if (store.ok()) {
       store_ = std::move(*store);
     } else {
@@ -115,8 +106,7 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
       queue_.Close();
     }
   }
-  track_support_shadow_ =
-      store_ != nullptr && store_->WantsDeltas() && !counter_->value_equality();
+  track_support_shadow_ = store_ != nullptr && !counter_->value_equality();
   ResetRoundTallies();
   // The consumer spawns lazily on the first Offer (EnsureConsumer), so a
   // constructed-but-unused worker does not park an idle thread.
@@ -333,8 +323,7 @@ void PartitionWorker::ConsumerLoop() {
         ++dummy_multiset_[entry];
         ++dummies_expected_;
       }
-      if (store_ != nullptr && store_->WantsDeltas() &&
-          !durability_degraded_) {
+      if (store_ != nullptr && !durability_degraded_) {
         // Registrations mutate the round's dummy multiset between
         // batches, so they are durable state too: one batch-free delta
         // record per registration item (batch_lo == batch_hi).
@@ -373,25 +362,6 @@ Status PartitionWorker::PipelineError() const {
   return round_status_;
 }
 
-CheckpointState PartitionWorker::BuildCheckpointState() {
-  CheckpointState state;
-  state.round_id = round_id_.load(std::memory_order_relaxed);
-  state.partition_index = slice_.index;
-  state.partition_count = slice_.count;
-  state.slice_lo = slice_.lo;
-  state.batches_consumed = batches_seen_;
-  state.rows_seen = rows_seen_;
-  state.reports_decoded = reports_decoded_;
-  state.reports_invalid = reports_invalid_;
-  state.dummies_recognized = dummies_recognized_;
-  state.dummies_expected = dummies_expected_;
-  state.supports = counter_->Finalize();
-  for (const auto& [key, count] : dummy_multiset_) {
-    if (count > 0) state.dummies_remaining.emplace(key, count);
-  }
-  return state;
-}
-
 void PartitionWorker::DegradeDurability(const Status& status) {
   durability_degraded_ = true;
   durability_warning_ = status.ToString();
@@ -399,8 +369,7 @@ void PartitionWorker::DegradeDurability(const Status& status) {
 }
 
 bool PartitionWorker::PersistDelta(const RoundDelta& delta) {
-  Status st = store_->AppendDelta(
-      delta, [this] { return BuildCheckpointState(); });
+  Status st = store_->AppendDelta(delta, /*snapshot=*/{});
   if (st.ok()) return true;
   if (IsDegradableStorageError(st)) {
     // Out of disk is not a reason to drop the round: finish it in
@@ -453,8 +422,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     return;
   }
 
-  const bool want_deltas = store_ != nullptr && store_->WantsDeltas() &&
-                           !durability_degraded_;
+  const bool persist = store_ != nullptr && !durability_degraded_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> consumed_dummies;
   std::vector<ldp::LdpReport> kept;
   kept.reserve(rows.size());
@@ -469,7 +437,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
       if (it != dummy_multiset_.end() && it->second > 0) {
         --it->second;
         ++dummies_recognized_;
-        if (want_deltas) ++consumed_dummies[it->first];
+        if (persist) ++consumed_dummies[it->first];
         continue;  // server-planted dummy: strip before estimation
       }
     }
@@ -488,7 +456,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   rows_aggregated_ += kept.size();
   busy_seconds_ += batch_done;
 
-  if (store_ != nullptr && !durability_degraded_) {
+  if (persist) {
     RoundDelta delta;
     delta.round_id = round_id_.load(std::memory_order_relaxed);
     delta.batch_lo = batch_lo;
@@ -496,36 +464,34 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     delta.rows_delta = batch.count;
     delta.decoded_delta = kept.size();
     delta.invalid_delta = reports_invalid_ - invalid_before;
-    if (want_deltas) {
-      if (counter_->value_equality()) {
-        // Equality oracles support exactly the reported value: the
-        // sparse delta is a histogram of the kept in-slice values,
-        // mirroring the counter's own fast path.
-        std::map<uint64_t, uint64_t> histogram;
-        for (const ldp::LdpReport& report : kept) {
-          if (report.value >= slice_.lo && report.value < slice_.hi) {
-            ++histogram[report.value - slice_.lo];
-          }
-        }
-        delta.support_deltas.assign(histogram.begin(), histogram.end());
-      } else {
-        // General oracles (hash-based) support many values per report:
-        // diff the counter's contiguous counts view against the shadow
-        // of what the store has already seen, updating the shadow in
-        // place at the changed slots — no per-batch snapshot allocation.
-        const std::vector<uint64_t>& current = counter_->counts();
-        for (size_t i = 0; i < current.size(); ++i) {
-          if (current[i] != persisted_supports_[i]) {
-            delta.support_deltas.emplace_back(
-                i, current[i] - persisted_supports_[i]);
-            persisted_supports_[i] = current[i];
-          }
+    if (counter_->value_equality()) {
+      // Equality oracles support exactly the reported value: the sparse
+      // delta is a histogram of the kept in-slice values, mirroring the
+      // counter's own fast path.
+      std::map<uint64_t, uint64_t> histogram;
+      for (const ldp::LdpReport& report : kept) {
+        if (report.value >= slice_.lo && report.value < slice_.hi) {
+          ++histogram[report.value - slice_.lo];
         }
       }
-      delta.dummies_consumed.reserve(consumed_dummies.size());
-      for (const auto& [key, count] : consumed_dummies) {
-        delta.dummies_consumed.emplace_back(key.first, key.second, count);
+      delta.support_deltas.assign(histogram.begin(), histogram.end());
+    } else {
+      // General oracles (hash-based) support many values per report:
+      // diff the counter's contiguous counts view against the shadow of
+      // what the store has already seen, updating the shadow in place at
+      // the changed slots — no per-batch snapshot allocation.
+      const std::vector<uint64_t>& current = counter_->counts();
+      for (size_t i = 0; i < current.size(); ++i) {
+        if (current[i] != persisted_supports_[i]) {
+          delta.support_deltas.emplace_back(
+              i, current[i] - persisted_supports_[i]);
+          persisted_supports_[i] = current[i];
+        }
       }
+    }
+    delta.dummies_consumed.reserve(consumed_dummies.size());
+    for (const auto& [key, count] : consumed_dummies) {
+      delta.dummies_consumed.emplace_back(key.first, key.second, count);
     }
     PersistDelta(delta);
   }
@@ -602,11 +568,11 @@ void PartitionWorker::ProcessRoundClose(
 
   // This round is fully accumulated (and, when durable, finalized in the
   // store); its mid-round state is stale. The close happens here
-  // (synchronously) rather than in the drain task so retention GC and
-  // the legacy checkpoint unlink can never race the *next* round's
-  // writes. A close failure is deliberately ignored: the result is
-  // already durable (or the round already degraded), and a resurrected
-  // closed round is re-collected at the next compaction.
+  // (synchronously) rather than in the drain task so retention GC can
+  // never race the *next* round's writes. A close failure is
+  // deliberately ignored: the result is already durable (or the round
+  // already degraded), and a resurrected closed round is re-collected at
+  // the next compaction.
   if (store_ != nullptr) {
     (void)store_->CloseRound(closed_round);
   }

@@ -136,113 +136,6 @@ Result<RoundDelta> ParseRoundDelta(const Bytes& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// LegacyCheckpointStore
-// ---------------------------------------------------------------------------
-
-Status LegacyCheckpointStore::AppendDelta(const RoundDelta& delta,
-                                          const SnapshotFn& snapshot) {
-  // Preserve the exact legacy cadence: one full snapshot whenever a real
-  // batch lands on the every_batches boundary (delta.batch_hi equals the
-  // worker's consumed-batch count). Registration-only deltas never wrote
-  // a checkpoint before and still do not.
-  const uint64_t every = std::max<uint64_t>(1, options_.every_batches);
-  const bool snapshot_due =
-      delta.batch_hi > delta.batch_lo && delta.batch_hi % every == 0;
-  if (snapshot_due) {
-    SHUFFLEDP_RETURN_NOT_OK(WriteCheckpoint(options_.path, snapshot()));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  live_ = true;
-  live_round_ = delta.round_id;
-  if (snapshot_due) live_watermark_ = delta.batch_hi;
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::FinalizeRound(const RoundJournal& journal,
-                                            uint64_t batches_consumed) {
-  SHUFFLEDP_RETURN_NOT_OK(
-      WriteRoundJournal(RoundJournalPath(options_.path), journal));
-  std::lock_guard<std::mutex> lock(mu_);
-  have_journal_ = true;
-  journal_ = journal;
-  journal_batches_ = batches_consumed;
-  if (live_ && live_round_ == journal.round_id) live_ = false;
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::CloseRound(uint64_t round_id) {
-  RemoveCheckpoint(options_.path);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_ && live_round_ == round_id) {
-    live_ = false;
-    live_watermark_ = 0;
-  }
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::AbandonRound(uint64_t round_id) {
-  return CloseRound(round_id);
-}
-
-Result<std::vector<StoredRound>> LegacyCheckpointStore::LoadAll() {
-  std::vector<StoredRound> rounds;
-  Result<RoundJournal> journal = ReadRoundJournal(RoundJournalPath(
-      options_.path));
-  if (journal.ok()) {
-    StoredRound round;
-    round.finalized = true;
-    round.journal = *journal;
-    rounds.push_back(std::move(round));
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
-  }
-  Result<CheckpointState> state = ReadCheckpoint(options_.path);
-  if (state.ok()) {
-    StoredRound round;
-    round.finalized = false;
-    round.batches_consumed = state->batches_consumed;
-    round.state = std::move(*state);
-    rounds.push_back(std::move(round));
-  } else if (state.status().code() != StatusCode::kNotFound) {
-    return state.status();
-  }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const StoredRound& a, const StoredRound& b) {
-              return a.round_id() < b.round_id();
-            });
-  {
-    // Seed the Query mirror so history works after recovery too.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const StoredRound& round : rounds) {
-      if (round.finalized) {
-        have_journal_ = true;
-        journal_ = round.journal;
-        journal_batches_ = 0;  // the legacy journal carries no watermark
-      } else {
-        live_ = true;
-        live_round_ = round.state.round_id;
-        live_watermark_ = round.state.batches_consumed;
-      }
-    }
-  }
-  return rounds;
-}
-
-Result<RoundLookup> LegacyCheckpointStore::Query(uint64_t round_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RoundLookup lookup;
-  if (have_journal_ && journal_.round_id == round_id) {
-    lookup.status = RoundStatus::kFinalized;
-    lookup.watermark = journal_batches_;
-    lookup.journal = journal_;
-  } else if (live_ && live_round_ == round_id) {
-    lookup.status = RoundStatus::kActive;
-    lookup.watermark = live_watermark_;
-  }
-  return lookup;
-}
-
-// ---------------------------------------------------------------------------
 // SegmentedRoundStore
 // ---------------------------------------------------------------------------
 
@@ -279,21 +172,7 @@ Result<std::unique_ptr<SegmentedRoundStore>> SegmentedRoundStore::Open(
 
   std::lock_guard<std::mutex> lock(store->mu_);
   SHUFFLEDP_RETURN_NOT_OK(store->LoadSegmentsLocked());
-  std::vector<WriteAheadLog::Record> records =
-      store->wal_->TakeRecovered();
-  if (store->rounds_.empty() && records.empty()) {
-    SHUFFLEDP_RETURN_NOT_OK(store->ImportLegacyLocked());
-    if (!store->rounds_.empty()) {
-      // Make the imported base durable as segments *now*: the worker's
-      // next deltas continue from the legacy watermark, so a crash
-      // before the first cadence compaction would otherwise leave a WAL
-      // whose first delta has batch_lo > 0 and no base to chain to —
-      // replay would fail the continuity check forever. (The legacy
-      // files themselves stay untouched: import is read-only.)
-      SHUFFLEDP_RETURN_NOT_OK(store->CompactLocked());
-    }
-  }
-  SHUFFLEDP_RETURN_NOT_OK(store->ReplayLocked(std::move(records)));
+  SHUFFLEDP_RETURN_NOT_OK(store->ReplayLocked(store->wal_->TakeRecovered()));
   return store;
 }
 
@@ -359,45 +238,6 @@ Status SegmentedRoundStore::LoadSegmentsLocked() {
     }
     next_lsn_ = std::max(next_lsn_, entry.last_lsn + 1);
     rounds_.emplace(round_id, std::move(entry));
-  }
-  return Status::OK();
-}
-
-Status SegmentedRoundStore::ImportLegacyLocked() {
-  if (options_.legacy_checkpoint_path.empty()) return Status::OK();
-
-  Result<CheckpointState> state =
-      ReadCheckpoint(options_.legacy_checkpoint_path);
-  if (state.ok()) {
-    if (state->partition_index != options_.partition_index ||
-        state->partition_count != options_.partition_count ||
-        state->slice_lo != options_.slice_lo ||
-        state->supports.size() != options_.slice_width) {
-      return Status::FailedPrecondition(
-          "legacy checkpoint belongs to a different slice: " +
-          options_.legacy_checkpoint_path);
-    }
-    RoundEntry entry;
-    entry.finalized = false;
-    entry.batches_consumed = state->batches_consumed;
-    entry.state = std::move(*state);
-    entry.dirty = true;  // next compaction converts it into a segment
-    rounds_.emplace(entry.state.round_id, std::move(entry));
-  } else if (state.status().code() != StatusCode::kNotFound) {
-    return state.status();
-  }
-
-  Result<RoundJournal> journal = ReadRoundJournal(
-      RoundJournalPath(options_.legacy_checkpoint_path));
-  if (journal.ok()) {
-    RoundEntry entry;
-    entry.finalized = true;
-    entry.closed = true;
-    entry.journal = std::move(*journal);
-    entry.dirty = true;
-    rounds_.emplace(entry.journal.round_id, std::move(entry));
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
   }
   return Status::OK();
 }
@@ -708,6 +548,10 @@ Status SegmentedRoundStore::CompactLocked() {
                                             "round segment"));
     entry.dirty = false;
   }
+  // The renames above are directory mutations: until the directory is
+  // fsynced, a power loss can keep the truncate below yet drop a
+  // segment's rename, losing every round that segment carried.
+  SHUFFLEDP_RETURN_NOT_OK(StorageFsyncDir(options_.dir, "round store"));
   SHUFFLEDP_RETURN_NOT_OK(wal_->TruncateAll());
   // Retention-expired segments go only now, after the truncate: no WAL
   // record can reference them anymore. A crash before this point leaves
@@ -771,21 +615,16 @@ uint64_t SegmentedRoundStore::next_lsn() const {
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<RoundStore>> OpenRoundStore(
-    const RoundStoreOptions& options, const CheckpointOptions& legacy) {
-  if (!options.dir.empty()) {
-    RoundStoreOptions resolved = options;
-    if (resolved.legacy_checkpoint_path.empty()) {
-      resolved.legacy_checkpoint_path = legacy.path;
-    }
-    SHUFFLEDP_ASSIGN_OR_RETURN(std::unique_ptr<SegmentedRoundStore> store,
-                               SegmentedRoundStore::Open(resolved));
-    return std::shared_ptr<RoundStore>(std::move(store));
-  }
-  if (!legacy.path.empty()) {
-    return std::shared_ptr<RoundStore>(
-        std::make_shared<LegacyCheckpointStore>(legacy));
-  }
-  return std::shared_ptr<RoundStore>();
+    const RoundStoreOptions& options, const PartitionSlice& slice) {
+  if (options.dir.empty()) return std::shared_ptr<RoundStore>();
+  RoundStoreOptions resolved = options;
+  resolved.partition_index = slice.index;
+  resolved.partition_count = slice.count;
+  resolved.slice_lo = slice.lo;
+  resolved.slice_width = slice.hi - slice.lo;
+  SHUFFLEDP_ASSIGN_OR_RETURN(std::unique_ptr<SegmentedRoundStore> store,
+                             SegmentedRoundStore::Open(resolved));
+  return std::shared_ptr<RoundStore>(std::move(store));
 }
 
 }  // namespace service

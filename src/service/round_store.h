@@ -1,8 +1,7 @@
 // Durable multi-round storage engine for partition workers.
 //
-// The one-file-per-round checkpoint path (checkpoint.h) rewrites the
-// entire counter snapshot every N batches and protects exactly one
-// in-flight round. The RoundStore interface replaces it with a
+// Rather than rewriting a full counter snapshot every N batches (which
+// protects exactly one in-flight round), the store is a
 // crash-consistent engine sized for many concurrent rounds:
 //
 //   ingest      consumer thread appends one incremental RoundDelta per
@@ -12,7 +11,9 @@
 //               barrier cadence;
 //   compaction  the WAL is periodically folded into immutable
 //               CRC-guarded segment files (one per round, "SDPS"
-//               framing, atomic-rename discipline), then truncated;
+//               framing, atomic-rename discipline), the directory is
+//               fsynced so the renames are durable, then the log is
+//               truncated;
 //   recovery    segments load first, then the WAL suffix replays on
 //               top. Records carry monotonic LSNs and each segment
 //               records the last LSN folded into it, so replay is
@@ -26,16 +27,12 @@
 //   retention   CloseRound() garbage-collects finalized rounds beyond
 //               the keep-last-K knob.
 //
-// Two backends sit behind the interface: SegmentedRoundStore (the WAL +
-// segment engine above) and LegacyCheckpointStore, which adapts the
-// existing SDPK/SDPJ one-file-per-round format — same write cadence,
-// same files — so existing deployments recover through the same
-// interface unchanged, and the segmented store imports those files as a
-// read-only migration source on first open.
+// SegmentedRoundStore (the WAL + segment engine above) is the one
+// implementation of the RoundStore interface.
 //
 // Concurrency: the worker's consumer thread is the only writer
 // (AppendDelta / FinalizeRound / CloseRound / AbandonRound); Query and
-// LoadAll may run from any thread. Both backends serialize internally.
+// LoadAll may run from any thread. The store serializes internally.
 
 #ifndef SHUFFLEDP_SERVICE_ROUND_STORE_H_
 #define SHUFFLEDP_SERVICE_ROUND_STORE_H_
@@ -51,6 +48,7 @@
 #include <vector>
 
 #include "service/checkpoint.h"
+#include "service/partition.h"
 #include "service/wal.h"
 #include "util/status.h"
 
@@ -62,8 +60,7 @@ namespace service {
 inline constexpr uint8_t kSegmentMagic[4] = {'S', 'D', 'P', 'S'};
 
 /// Round store knobs (part of StreamingOptions). `dir` empty disables
-/// the segmented engine; the worker then falls back to the legacy
-/// checkpoint path when that is configured.
+/// persistence.
 struct RoundStoreOptions {
   /// Store directory (created if missing): holds `wal.log` and one
   /// `round-<id>.seg` segment per stored round.
@@ -80,14 +77,12 @@ struct RoundStoreOptions {
   /// it). Larger values trade the barrier cost for a bounded window of
   /// re-replayed batches after a crash.
   uint64_t sync_every_records = 1;
-  /// Slice identity (filled by the worker from its resolved partition).
+  /// Slice identity (OpenRoundStore fills these from the worker's
+  /// resolved partition).
   uint32_t partition_index = 0;
   uint32_t partition_count = 1;
   uint64_t slice_lo = 0;
   uint64_t slice_width = 0;  ///< supports length; required when dir set
-  /// Legacy SDPK checkpoint path imported (read-only, together with its
-  /// `.result` journal) when the store directory holds no state yet.
-  std::string legacy_checkpoint_path;
 };
 
 /// One batch group's incremental effect on round state — what the WAL
@@ -143,19 +138,14 @@ struct RoundLookup {
 };
 
 /// Crash-consistent round persistence. See the file comment for the
-/// engine; LegacyCheckpointStore for the SDPK/SDPJ adapter.
+/// engine.
 class RoundStore {
  public:
-  /// Lazily materializes a full CheckpointState snapshot — only the
-  /// legacy backend calls it (on its checkpoint cadence), so the
-  /// segmented engine never pays the O(slice) Finalize cost per batch.
+  /// Full-snapshot callback. Unused: the store persists deltas, so
+  /// callers may pass an empty function.
   using SnapshotFn = std::function<CheckpointState()>;
 
   virtual ~RoundStore() = default;
-
-  /// True when the backend persists incremental deltas — the worker
-  /// only computes sparse per-batch support deltas when it does.
-  virtual bool WantsDeltas() const = 0;
 
   /// Records one batch group's deltas for the round (consumer thread).
   virtual Status AppendDelta(const RoundDelta& delta,
@@ -182,50 +172,16 @@ class RoundStore {
   virtual Result<RoundLookup> Query(uint64_t round_id) = 0;
 };
 
-/// Adapter keeping the existing one-file-per-round SDPK checkpoint +
-/// SDPJ journal behind the RoundStore interface: identical write
-/// cadence (full snapshot every `every_batches` consumed batches),
-/// identical files, identical recovery semantics — the journal is a
-/// keep-exactly-1 overwrite, so retention does not apply.
-class LegacyCheckpointStore : public RoundStore {
- public:
-  explicit LegacyCheckpointStore(CheckpointOptions options)
-      : options_(std::move(options)) {}
-
-  bool WantsDeltas() const override { return false; }
-  Status AppendDelta(const RoundDelta& delta,
-                     const SnapshotFn& snapshot) override;
-  Status FinalizeRound(const RoundJournal& journal,
-                       uint64_t batches_consumed) override;
-  Status CloseRound(uint64_t round_id) override;
-  Status AbandonRound(uint64_t round_id) override;
-  Result<std::vector<StoredRound>> LoadAll() override;
-  Result<RoundLookup> Query(uint64_t round_id) override;
-
- private:
-  CheckpointOptions options_;
-  std::mutex mu_;
-  // In-memory mirror for Query (the files stay authoritative).
-  bool live_ = false;
-  uint64_t live_round_ = 0;
-  uint64_t live_watermark_ = 0;  ///< durable (checkpointed) watermark
-  bool have_journal_ = false;
-  RoundJournal journal_;
-  uint64_t journal_batches_ = 0;
-};
-
 /// The WAL + segment engine (file comment above).
 class SegmentedRoundStore : public RoundStore {
  public:
   /// Opens the store: creates `options.dir` if missing, validates and
-  /// scans the WAL (truncating a torn tail), loads every segment,
-  /// replays the WAL suffix, and — when the directory holds no state —
-  /// imports `options.legacy_checkpoint_path` (+ `.result`). A corrupt
-  /// segment or WAL header is a hard error: refuse to guess.
+  /// scans the WAL (truncating a torn tail), loads every segment, and
+  /// replays the WAL suffix. A corrupt segment or WAL header is a hard
+  /// error (DataLoss): refuse to guess.
   static Result<std::unique_ptr<SegmentedRoundStore>> Open(
       const RoundStoreOptions& options);
 
-  bool WantsDeltas() const override { return true; }
   Status AppendDelta(const RoundDelta& delta,
                      const SnapshotFn& snapshot) override;
   Status FinalizeRound(const RoundJournal& journal,
@@ -274,7 +230,6 @@ class SegmentedRoundStore : public RoundStore {
   Status CompactLocked();
   void RetentionGcLocked();
   Status LoadSegmentsLocked();
-  Status ImportLegacyLocked();
   Status ReplayLocked(std::vector<WriteAheadLog::Record> records);
 
   RoundStoreOptions options_;
@@ -292,13 +247,13 @@ class SegmentedRoundStore : public RoundStore {
   uint64_t wal_truncated_bytes_ = 0;
 };
 
-/// Opens the configured backend: SegmentedRoundStore when
-/// `options.dir` is set (importing `legacy.path` as migration source if
-/// the directory is empty), LegacyCheckpointStore when only
-/// `legacy.path` is set, and a null store when neither (durability
-/// disabled — the returned shared_ptr is empty but the Result is OK).
+/// Opens a SegmentedRoundStore for a worker owning `slice` (lo/hi
+/// already resolved against the domain, see PartitionSlice::Resolved):
+/// the slice identity fields of `options` are overwritten from it. An
+/// empty `options.dir` means durability is disabled — the returned
+/// shared_ptr is empty but the Result is OK.
 Result<std::shared_ptr<RoundStore>> OpenRoundStore(
-    const RoundStoreOptions& options, const CheckpointOptions& legacy);
+    const RoundStoreOptions& options, const PartitionSlice& slice);
 
 }  // namespace service
 }  // namespace shuffledp

@@ -1,6 +1,6 @@
 // Single-node streaming collection — the 1-of-1 partition special case.
 //
-// All of the ingest/checkpoint/drain machinery lives in
+// All of the ingest/persist/drain machinery lives in
 // partition_worker.h (PartitionWorker): a worker owns one slice of a
 // collection round, and a distributed deployment runs many of them
 // behind a MergeCoordinator (coordinator.h). StreamingCollector is the

@@ -90,6 +90,22 @@ Status StorageFsync(int fd, const char* what, const std::string& path) {
   return Status::OK();
 }
 
+Status StorageFsyncDir(const std::string& dir, const char* what) {
+  SHUFFLEDP_RETURN_NOT_OK(
+      ApplyStorageFault(FaultOp::kFileSync, what, dir, "fsync", nullptr));
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return MapStorageErrno(what, dir, "open", errno);
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return MapStorageErrno(what, dir, "fsync", err);
+  }
+  return Status::OK();
+}
+
 Status StorageRename(const std::string& from, const std::string& to,
                      const char* what) {
   SHUFFLEDP_RETURN_NOT_OK(

@@ -1,13 +1,11 @@
 // Per-worker write-ahead log for the durable round store.
 //
-// The full-snapshot checkpoint path (checkpoint.h) rewrites the whole
-// counter state every N batches — O(slice) bytes per snapshot, one
-// in-flight round per worker. The WAL inverts that cost model: the
-// consumer appends one small CRC-framed record per ingested batch group
-// (sparse support deltas, tally deltas, dummy-multiset deltas), with
-// explicit fsync barriers, and the round store periodically compacts
-// the log into immutable segment files (round_store.h). Crash recovery
-// is a scan: records are validated front-to-back, the first invalid
+// Instead of rewriting the whole counter state per snapshot — O(slice)
+// bytes, one in-flight round per worker — the consumer appends one
+// small CRC-framed record per ingested batch group (sparse support
+// deltas, tally deltas, dummy-multiset deltas), with explicit fsync
+// barriers, and the round store periodically compacts the log into
+// immutable segment files (round_store.h). Crash recovery is a scan: records are validated front-to-back, the first invalid
 // record ends the log (a torn tail from a crash mid-append), and the
 // file is truncated back to the last valid record so the next append
 // starts from a clean boundary.
@@ -39,10 +37,11 @@
 // already applied.
 //
 // This header also exports the storage syscall wrappers shared with the
-// legacy checkpoint writer: write / fsync / rename / ftruncate with the
-// storage fault-injection hooks (fault_injection.h kFileWrite/kFileSync/
-// kFileRename) and the ENOSPC → kResourceExhausted taxonomy mapping
-// that lets the worker degrade instead of poisoning a round.
+// framed-file writer (checkpoint.h): write / fsync / rename / ftruncate
+// / unlink with the storage fault-injection hooks (fault_injection.h
+// kFileWrite/kFileSync/kFileRename/kFileUnlink) and the ENOSPC →
+// kResourceExhausted taxonomy mapping that lets the worker degrade
+// instead of poisoning a round.
 
 #ifndef SHUFFLEDP_SERVICE_WAL_H_
 #define SHUFFLEDP_SERVICE_WAL_H_
@@ -92,6 +91,11 @@ Status StorageWriteAll(int fd, const uint8_t* data, size_t len,
 
 /// fsync(2) behind the kFileSync hook.
 Status StorageFsync(int fd, const char* what, const std::string& path);
+
+/// fsync(2) of a directory behind the kFileSync hook: makes the renames
+/// and unlinks inside `dir` durable (a rename is a directory mutation,
+/// so fsyncing the renamed file alone does not persist it).
+Status StorageFsyncDir(const std::string& dir, const char* what);
 
 /// rename(2) behind the kFileRename hook (the atomic-publish step of
 /// every framed-file write).

@@ -64,7 +64,7 @@ struct PeosConfig {
   uint64_t poison_target_packed = 0;    ///< payload for biased shares
   ThreadPool* pool = nullptr;
   /// Server-side ingestion pipeline knobs, including crash-safe
-  /// `streaming.checkpoint` persistence; `streaming.pool` is ignored
+  /// `streaming.round_store` persistence; `streaming.pool` is ignored
   /// (the server pipeline shares `pool`).
   service::StreamingOptions streaming;
 };

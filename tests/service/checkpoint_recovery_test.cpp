@@ -1,11 +1,14 @@
-// Crash-safe checkpoint persistence: file codec robustness (CRC, torn
-// writes, version skew) and the end-to-end guarantee — a round killed
-// mid-drain and recovered via RecoverRound() finishes with supports and
-// estimates bitwise identical to an uninterrupted run.
+// Round-state recovery through the durable round store: the payload
+// codecs segments embed (round trip, the golden-pinned live-round
+// payload) and the end-to-end guarantee — a round killed mid-drain and
+// recovered via RecoverRound() finishes with supports and estimates
+// bitwise identical to an uninterrupted run.
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +16,8 @@
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
 #include "service/checkpoint.h"
+#include "service/fault_injection.h"
+#include "service/round_store.h"
 #include "service/streaming_collector.h"
 #include "util/rng.h"
 
@@ -20,8 +25,29 @@ namespace shuffledp {
 namespace service {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "shuffledp_" + name;
+std::string TempDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "shuffledp_" + name;
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+  return dir;
+}
+
+void RemoveTree(const std::string& dir) {
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+std::vector<uint8_t> ReadRaw(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::vector<uint8_t> bytes;
+  if (f != nullptr) {
+    uint8_t buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + got);
+    }
+    std::fclose(f);
+  }
+  return bytes;
 }
 
 CheckpointState SampleState() {
@@ -39,12 +65,9 @@ CheckpointState SampleState() {
   return state;
 }
 
-TEST(Checkpoint, WriteReadRoundTrip) {
-  const std::string path = TempPath("roundtrip.ckpt");
+TEST(CheckpointPayload, RoundTrip) {
   CheckpointState state = SampleState();
-  ASSERT_TRUE(WriteCheckpoint(path, state).ok());
-
-  auto read = ReadCheckpoint(path);
+  auto read = ParseCheckpointPayload(SerializeCheckpointPayload(state));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->round_id, state.round_id);
   EXPECT_EQ(read->batches_consumed, state.batches_consumed);
@@ -55,107 +78,104 @@ TEST(Checkpoint, WriteReadRoundTrip) {
   EXPECT_EQ(read->dummies_expected, state.dummies_expected);
   EXPECT_EQ(read->supports, state.supports);
   EXPECT_EQ(read->dummies_remaining, state.dummies_remaining);
-  RemoveCheckpoint(path);
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound);
+
+  // Every strict prefix is a lying length somewhere: rejected, never a
+  // partial state.
+  Bytes payload = SerializeCheckpointPayload(state);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        ParseCheckpointPayload(Bytes(payload.begin(), payload.begin() + len))
+            .ok())
+        << "len=" << len;
+  }
+  payload.push_back(0);
+  EXPECT_EQ(ParseCheckpointPayload(payload).status().code(),
+            StatusCode::kDataLoss);
 }
 
-// The worked example in docs/WIRE_FORMAT.md §3, byte for byte. If this
-// breaks, update the doc with the new bytes or fix the code — never the
-// test alone.
-TEST(Checkpoint, GoldenVectorMatchesDoc) {
-  const std::string path = TempPath("golden.ckpt");
+// The worked example in docs/WIRE_FORMAT.md §3, byte for byte, both from
+// the codec and as the inner payload of a live round's segment file. If
+// this breaks, update the doc with the new bytes or fix the code — never
+// the test alone.
+TEST(CheckpointPayload, GoldenVectorMatchesDoc) {
   CheckpointState state;
   state.round_id = 3;
   state.batches_consumed = 2;
   state.rows_seen = 2;
   state.reports_decoded = 2;
   state.supports = {1, 1};
-  ASSERT_TRUE(WriteCheckpoint(path, state).ok());
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(64);
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
-  std::fclose(f);
-  const std::vector<uint8_t> expected = {
-      0x53, 0x44, 0x50, 0x4B,                          // magic "SDPK"
-      0x02,                                            // version
-      0x00, 0x00, 0x00,                                // reserved
-      0x15, 0x00, 0x00, 0x00,                          // payload length 21
-      0x3C, 0x67, 0x49, 0x7B,                          // CRC-32(payload)
+  const Bytes expected = {
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // round_id 3
       0x00, 0x01, 0x00,                                // partition 0/1, lo 0
       0x02, 0x02, 0x02, 0x00, 0x00, 0x00,              // tallies
       0x02, 0x01, 0x01,                                // d=2, supports {1,1}
       0x00,                                            // no dummy entries
   };
-  EXPECT_EQ(bytes, expected);
-  RemoveCheckpoint(path);
+  EXPECT_EQ(SerializeCheckpointPayload(state), expected);
+
+  const std::string dir = TempDir("golden_live_segment");
+  RoundStoreOptions options;
+  options.dir = dir;
+  options.slice_width = 2;
+  auto store = SegmentedRoundStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  RoundDelta delta;
+  delta.round_id = 3;
+  delta.batch_lo = 0;
+  delta.batch_hi = 2;
+  delta.rows_delta = 2;
+  delta.decoded_delta = 2;
+  delta.support_deltas = {{0, 1}, {1, 1}};
+  ASSERT_TRUE((*store)->AppendDelta(delta, {}).ok());
+  ASSERT_TRUE((*store)->CompactNow().ok());
+  // Segment payload (§7): u64 round id, u64 last LSN, u8 finalized,
+  // varint watermark, then the live-round payload above.
+  const std::vector<uint8_t> segment = ReadRaw((*store)->SegmentPath(3));
+  const size_t inner = 16 + 8 + 8 + 1 + 1;
+  ASSERT_EQ(segment.size(), inner + expected.size());
+  EXPECT_EQ(segment[inner - 2], 0x00);  // live
+  EXPECT_EQ(segment[inner - 1], 0x02);  // watermark 2
+  EXPECT_EQ(Bytes(segment.begin() + inner, segment.end()), expected);
+  RemoveTree(dir);
 }
 
-TEST(Checkpoint, OverwriteKeepsLatestSnapshot) {
-  const std::string path = TempPath("overwrite.ckpt");
-  CheckpointState state = SampleState();
-  ASSERT_TRUE(WriteCheckpoint(path, state).ok());
-  state.batches_consumed = 99;
-  state.supports[2] = 456;
-  ASSERT_TRUE(WriteCheckpoint(path, state).ok());
-  auto read = ReadCheckpoint(path);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->batches_consumed, 99u);
-  EXPECT_EQ(read->supports[2], 456u);
-  RemoveCheckpoint(path);
-}
+TEST(JournalPayload, RoundTrip) {
+  RoundJournal journal;
+  journal.round_id = 5;
+  journal.partition_index = 2;
+  journal.partition_count = 4;
+  journal.slice_lo = 96;
+  journal.n = 120000;
+  journal.n_fake = 7500;
+  journal.calibration = 1;
+  journal.reports_decoded = 123456;
+  journal.reports_invalid = 77;
+  journal.dummies_recognized = 3;
+  journal.dummies_expected = 3;
+  journal.supports = {9, 0, 12345, 2};
+  Bytes payload = SerializeJournalPayload(journal);
+  auto read = ParseJournalPayload(payload);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->round_id, journal.round_id);
+  EXPECT_EQ(read->partition_index, journal.partition_index);
+  EXPECT_EQ(read->partition_count, journal.partition_count);
+  EXPECT_EQ(read->slice_lo, journal.slice_lo);
+  EXPECT_EQ(read->n, journal.n);
+  EXPECT_EQ(read->n_fake, journal.n_fake);
+  EXPECT_EQ(read->calibration, journal.calibration);
+  EXPECT_EQ(read->reports_decoded, journal.reports_decoded);
+  EXPECT_EQ(read->supports, journal.supports);
 
-TEST(Checkpoint, CorruptionAndTruncationAreRejected) {
-  const std::string path = TempPath("corrupt.ckpt");
-  ASSERT_TRUE(WriteCheckpoint(path, SampleState()).ok());
-
-  // Read raw bytes once.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes;
-  uint8_t buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        ParseJournalPayload(Bytes(payload.begin(), payload.begin() + len))
+            .ok())
+        << "len=" << len;
   }
-  std::fclose(f);
-
-  auto write_raw = [&](const std::vector<uint8_t>& raw) {
-    std::FILE* out = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    if (!raw.empty()) {
-      ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), out), raw.size());
-    }
-    std::fclose(out);
-  };
-
-  // Every single-bit flip must be caught (magic, version, reserved,
-  // length, CRC, payload).
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    std::vector<uint8_t> mutated = bytes;
-    mutated[byte] ^= 0x01;
-    write_raw(mutated);
-    EXPECT_FALSE(ReadCheckpoint(path).ok()) << "byte=" << byte;
-  }
-
-  // Every truncation (a torn non-atomic write) must be caught.
-  for (size_t len = 0; len < bytes.size(); len += 3) {
-    write_raw({bytes.begin(), bytes.begin() + len});
-    EXPECT_FALSE(ReadCheckpoint(path).ok()) << "len=" << len;
-  }
-
-  // Version skew: a future format must not parse as v1.
-  {
-    std::vector<uint8_t> skewed = bytes;
-    skewed[4] = kCheckpointVersion + 1;
-    write_raw(skewed);
-    auto read = ReadCheckpoint(path);
-    ASSERT_FALSE(read.ok());
-    EXPECT_NE(read.status().message().find("version"), std::string::npos);
-  }
-  RemoveCheckpoint(path);
+  // Partition index 4 of 4 is out of range.
+  payload[8] = 4;
+  EXPECT_EQ(ParseJournalPayload(payload).status().code(),
+            StatusCode::kDataLoss);
 }
 
 // Deterministic batch b of the synthetic round (self-seeded, so any
@@ -176,10 +196,10 @@ std::vector<ldp::LdpReport> BatchReports(
 void KillAndRecoverBitwise(const ldp::ScalarFrequencyOracle& oracle,
                            const std::string& tag) {
   const uint64_t kBatches = 40;
+  const uint64_t kOffered = 23;
   const size_t kBatchSize = 128;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string path = TempPath("recover_" + tag + ".ckpt");
-  RemoveCheckpoint(path);
+  const std::string dir = TempDir("recover_" + tag);
 
   StreamingOptions plain;
   plain.batch_size = kBatchSize;
@@ -199,32 +219,40 @@ void KillAndRecoverBitwise(const ldp::ScalarFrequencyOracle& oracle,
     expected = std::move(*result);
   }
 
-  // Crash run: checkpoint every 8 batches, die after 23.
+  // Crash run: the disk dies partway through the offered batches (the
+  // storage kill switch fails every write and fsync from the 35th
+  // storage operation on, as after a power cut), then the process goes.
   StreamingOptions durable = plain;
-  durable.checkpoint.path = path;
-  durable.checkpoint.every_batches = 8;
+  durable.round_store.dir = dir;
   {
+    FaultInjector injector;
+    injector.ArmStorageKill(35, EIO);
+    ScopedFaultInjector installed(&injector);
     StreamingCollector collector(oracle, durable);
-    for (uint64_t b = 0; b < 23; ++b) {
-      ASSERT_TRUE(collector
-                      .Offer(MakePlainBatch(BatchReports(oracle, b,
-                                                         kBatchSize)))
-                      .ok());
+    for (uint64_t b = 0; b < kOffered; ++b) {
+      // Offers start failing once the dead disk fails the round.
+      (void)collector.Offer(
+          MakePlainBatch(BatchReports(oracle, b, kBatchSize)));
     }
-    // Destruction = crash for everything after the last snapshot: the
-    // checkpoint on disk has watermark 16, not 23.
   }
 
-  auto snapshot = ReadCheckpoint(path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_EQ(snapshot->batches_consumed, 16u);
-
-  // Recover and replay from the watermark.
+  // Recover and replay from the durable watermark, the way a restarted
+  // server does: a fresh collector opens the store and loads its rounds.
   {
     StreamingCollector collector(oracle, durable);
-    auto watermark = collector.RecoverRound(*snapshot);
+    ASSERT_NE(collector.store(), nullptr);
+    auto rounds = collector.store()->LoadAll();
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    ASSERT_EQ(rounds->size(), 1u);
+    const StoredRound& live = (*rounds)[0];
+    ASSERT_FALSE(live.finalized);
+    // Some batches made it to disk, the tail did not.
+    EXPECT_GT(live.batches_consumed, 0u);
+    EXPECT_LT(live.batches_consumed, kOffered);
+
+    auto watermark = collector.RecoverRound(live.state);
     ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-    EXPECT_EQ(*watermark, 16u);
+    EXPECT_EQ(*watermark, live.batches_consumed);
     for (uint64_t b = *watermark; b < kBatches; ++b) {
       ASSERT_TRUE(collector
                       .Offer(MakePlainBatch(BatchReports(oracle, b,
@@ -237,76 +265,24 @@ void KillAndRecoverBitwise(const ldp::ScalarFrequencyOracle& oracle,
     EXPECT_EQ(result->estimates, expected.estimates);
     EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
     EXPECT_EQ(result->reports_invalid, expected.reports_invalid);
-    // A completed round must clean up its snapshot.
-    EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound);
+    // The completed round is finalized in the store, no longer live.
+    auto lookup = collector.store()->Query(0);
+    ASSERT_TRUE(lookup.ok());
+    EXPECT_EQ(lookup->status, RoundStatus::kFinalized);
+    EXPECT_EQ(lookup->watermark, kBatches);
   }
+  RemoveTree(dir);
 }
 
-TEST(RoundJournal, WriteReadRoundTripAndCorruptionRejected) {
-  const std::string path = TempPath("journal.ckpt.result");
-  RoundJournal journal;
-  journal.round_id = 5;
-  journal.partition_index = 2;
-  journal.partition_count = 4;
-  journal.slice_lo = 96;
-  journal.n = 120000;
-  journal.n_fake = 7500;
-  journal.calibration = 1;
-  journal.reports_decoded = 123456;
-  journal.reports_invalid = 77;
-  journal.dummies_recognized = 3;
-  journal.dummies_expected = 3;
-  journal.supports = {9, 0, 12345, 2};
-  ASSERT_TRUE(WriteRoundJournal(path, journal).ok());
-
-  auto read = ReadRoundJournal(path);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read->round_id, journal.round_id);
-  EXPECT_EQ(read->partition_index, journal.partition_index);
-  EXPECT_EQ(read->partition_count, journal.partition_count);
-  EXPECT_EQ(read->slice_lo, journal.slice_lo);
-  EXPECT_EQ(read->n, journal.n);
-  EXPECT_EQ(read->n_fake, journal.n_fake);
-  EXPECT_EQ(read->calibration, journal.calibration);
-  EXPECT_EQ(read->reports_decoded, journal.reports_decoded);
-  EXPECT_EQ(read->supports, journal.supports);
-
-  // A checkpoint is not a journal: magic must disagree.
-  CheckpointState state = SampleState();
-  ASSERT_TRUE(WriteCheckpoint(path, state).ok());
-  EXPECT_EQ(ReadRoundJournal(path).status().code(), StatusCode::kDataLoss);
-
-  // Every single-byte corruption of a valid journal is rejected.
-  ASSERT_TRUE(WriteRoundJournal(path, journal).ok());
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> bytes(4096);
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
-  std::fclose(f);
-  for (size_t i = 0; i < bytes.size(); i += 3) {
-    std::vector<uint8_t> mutated = bytes;
-    mutated[i] ^= 0x40;
-    std::FILE* out = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    std::fwrite(mutated.data(), 1, mutated.size(), out);
-    std::fclose(out);
-    EXPECT_FALSE(ReadRoundJournal(path).ok()) << "byte " << i;
-  }
-  RemoveCheckpoint(path);
-}
-
-// The crash window the ROADMAP named: round closed (checkpoint gone),
-// result never read. The journal written at the close sentinel must
-// replay to the exact result, bitwise.
+// The crash window between the round close and the result being read:
+// the finalized round is journaled in the store before the result is
+// handed out, and the journal must replay to the exact result, bitwise.
 TEST(RoundJournal, FinalizedRoundReplaysBitwise) {
-  const std::string path = TempPath("journal_replay.ckpt");
-  RemoveCheckpoint(path);
-  RemoveCheckpoint(RoundJournalPath(path));
+  const std::string dir = TempDir("journal_replay");
   ldp::Grr grr(2.0, 32);
   StreamingOptions options;
   options.batch_size = 64;
-  options.checkpoint.path = path;
-  options.checkpoint.every_batches = 4;
+  options.round_store.dir = dir;
 
   Rng rng(31337);
   std::vector<ldp::LdpReport> reports;
@@ -323,16 +299,18 @@ TEST(RoundJournal, FinalizedRoundReplaysBitwise) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     live = std::move(*result);
   }
-  // Round closed: mid-round snapshot gone, finalized journal present.
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound);
-  auto journal = ReadRoundJournal(RoundJournalPath(path));
-  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
-  EXPECT_EQ(journal->round_id, 0u);
 
-  // "Restarted" collector replays the journal: bitwise-equal result and
-  // the round id advanced past the journaled round.
+  // "Restarted" collector: the store holds exactly the finalized round,
+  // whose journal replays to a bitwise-equal result and advances the
+  // round id past the journaled round.
   StreamingCollector recovered(grr, options);
-  auto replay = recovered.RecoverFinalizedRound(*journal);
+  auto rounds = recovered.store()->LoadAll();
+  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+  ASSERT_EQ(rounds->size(), 1u);
+  ASSERT_TRUE((*rounds)[0].finalized);
+  const RoundJournal& journal = (*rounds)[0].journal;
+  EXPECT_EQ(journal.round_id, 0u);
+  auto replay = recovered.RecoverFinalizedRound(journal);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay->supports, live.supports);
   EXPECT_EQ(replay->estimates, live.estimates);  // bitwise (exact ==)
@@ -341,13 +319,12 @@ TEST(RoundJournal, FinalizedRoundReplaysBitwise) {
   EXPECT_EQ(recovered.round_id(), 1u);
 
   // A journal for someone else's partition must be refused.
-  RoundJournal foreign = *journal;
+  RoundJournal foreign = journal;
   foreign.partition_index = 1;
   foreign.partition_count = 2;
   EXPECT_EQ(recovered.RecoverFinalizedRound(foreign).status().code(),
             StatusCode::kFailedPrecondition);
-  RemoveCheckpoint(path);
-  RemoveCheckpoint(RoundJournalPath(path));
+  RemoveTree(dir);
 }
 
 TEST(CheckpointRecovery, KillMidRoundRecoversBitwiseGrr) {
@@ -362,13 +339,11 @@ TEST(CheckpointRecovery, KillMidRoundRecoversBitwiseSolh) {
 
 TEST(CheckpointRecovery, DummyMultisetSurvivesRecovery) {
   ldp::Grr grr(2.0, 32);
-  const std::string path = TempPath("recover_dummies.ckpt");
-  RemoveCheckpoint(path);
+  const std::string dir = TempDir("recover_dummies");
 
   StreamingOptions options;
   options.batch_size = 16;
-  options.checkpoint.path = path;
-  options.checkpoint.every_batches = 1;
+  options.round_store.dir = dir;
 
   // Plant 4 dummies; deliver 2 before the crash and 2 after recovery.
   std::vector<ldp::LdpReport> dummies;
@@ -383,13 +358,17 @@ TEST(CheckpointRecovery, DummyMultisetSurvivesRecovery) {
     ASSERT_TRUE(
         collector.Offer(MakePlainBatch({dummies[0], dummies[1]})).ok());
   }
-  auto snapshot = ReadCheckpoint(path);
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->dummies_recognized, 2u);
-  EXPECT_EQ(snapshot->dummies_remaining.size(), 2u);
 
   StreamingCollector collector(grr, options);
-  ASSERT_TRUE(collector.RecoverRound(*snapshot).ok());
+  auto rounds = collector.store()->LoadAll();
+  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+  ASSERT_EQ(rounds->size(), 1u);
+  const CheckpointState& state = (*rounds)[0].state;
+  EXPECT_EQ(state.dummies_recognized, 2u);
+  EXPECT_EQ(state.dummies_expected, 4u);
+  EXPECT_EQ(state.dummies_remaining.size(), 2u);
+
+  ASSERT_TRUE(collector.RecoverRound(state).ok());
   ASSERT_TRUE(
       collector.Offer(MakePlainBatch({dummies[2], dummies[3]})).ok());
   auto result = collector.FinishRound(100, 0, Calibration::kStandard);
@@ -398,7 +377,7 @@ TEST(CheckpointRecovery, DummyMultisetSurvivesRecovery) {
   EXPECT_TRUE(result->spot_check_passed);
   // All four were dummies: nothing real was counted.
   EXPECT_EQ(result->reports_decoded, 0u);
-  RemoveCheckpoint(path);
+  RemoveTree(dir);
 }
 
 TEST(CheckpointRecovery, RecoverRequiresFreshCollector) {
@@ -417,18 +396,16 @@ TEST(CheckpointRecovery, UnwritablePathAbortsTheRound) {
   ldp::Grr grr(2.0, 16);
   StreamingOptions options;
   options.batch_size = 8;
-  options.checkpoint.path = "/nonexistent-dir/never.ckpt";
-  options.checkpoint.every_batches = 1;
+  options.round_store.dir = "/nonexistent-dir/never";
   StreamingCollector collector(grr, options);
-  // The first consumed batch tries to snapshot and fails; the round is
-  // aborted rather than silently running without durability.
+  // The store cannot open, so the pipeline refuses the round up front
+  // rather than silently running without durability.
   Status offered = collector.Offer(MakePlainBatch(BatchReports(grr, 0, 8)));
-  ASSERT_TRUE(offered.ok());  // the enqueue itself succeeds
+  ASSERT_FALSE(offered.ok());
+  EXPECT_EQ(offered.code(), StatusCode::kInternal);
   auto result = collector.FinishRound(8, 0, Calibration::kStandard);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  // After the reset the collector works again (without the bad path it
-  // would keep failing, so disable checkpointing via a fresh collector).
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // merge-of-supports coordinator must be indistinguishable — bitwise —
 // from the single-node streaming path, for both partition modes and both
 // oracles, at n >= 10^5; a single endpoint killed mid-round must recover
-// from its checkpoint without disturbing the others; and misrouted
+// from its round store without disturbing the others; and misrouted
 // traffic (wrong partition header, wrong value slice) must be rejected,
 // never miscounted.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,8 +17,8 @@
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
-#include "service/checkpoint.h"
 #include "service/coordinator.h"
+#include "service/round_store.h"
 #include "service/transport.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -171,10 +172,9 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 512;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string ckpt =
-      ::testing::TempDir() + "shuffledp_distributed_p1.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string store_dir =
+      ::testing::TempDir() + "shuffledp_distributed_p1";
+  ASSERT_EQ(std::system(("rm -rf '" + store_dir + "'").c_str()), 0);
 
   CollectionServerOptions base;
   base.streaming.batch_size = kBatchSize;
@@ -196,10 +196,10 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     expected = std::move(*result);
   }
 
-  // Interrupted run: partition 1 checkpoints, gets 35 batches, dies.
+  // Interrupted run: partition 1 keeps a round store, gets 35 batches,
+  // dies.
   CollectionServerOptions p1_options = base;
-  p1_options.streaming.checkpoint.path = ckpt;
-  p1_options.streaming.checkpoint.every_batches = 8;
+  p1_options.streaming.round_store.dir = store_dir;
   Fleet fleet;
   for (uint32_t p = 0; p < 3; ++p) {
     CollectionServerOptions options = p == 1 ? p1_options : base;
@@ -218,23 +218,42 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     ASSERT_TRUE(
         (*routing)->SendBatch(0, b, BatchOrdinals(grr, b, kBatchSize)).ok());
   }
-  // TCP delivery is asynchronous: wait until partition 1 snapshotted at
-  // least once so the "crash" reliably has something to recover from.
-  for (int spin = 0; spin < 2000 && !ReadCheckpoint(ckpt).ok(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // TCP delivery is asynchronous: wait until partition 1 persisted some
+  // batches so the "crash" reliably has something to recover from.
+  {
+    RoundStore* store = fleet.servers[1]->store().get();
+    auto durable_watermark = [store] {
+      auto lookup = store->Query(0);
+      return lookup.ok() ? lookup->watermark : 0;
+    };
+    for (int spin = 0; spin < 2000 && durable_watermark() < 8; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(durable_watermark(), 8u);
   }
-  ASSERT_TRUE(ReadCheckpoint(ckpt).ok());
   // Kill exactly one endpoint mid-round. Destroy the object, not just
   // Shutdown(): a merely-shut-down server's consumer keeps draining
-  // already-queued batches and snapshotting past what we read below.
+  // already-queued batches and persisting past what we read below.
   fleet.servers[1].reset();
 
-  auto snapshot = ReadCheckpoint(ckpt);
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_GT(snapshot->batches_consumed, 0u);
-  ASSERT_LE(snapshot->batches_consumed, kSent);
-  EXPECT_EQ(snapshot->partition_index, 1u);
-  EXPECT_EQ(snapshot->partition_count, 3u);
+  // What the dead endpoint left on disk, read with its slice identity.
+  CheckpointState snapshot;
+  {
+    RoundStoreOptions store_options;
+    store_options.dir = store_dir;
+    auto store = OpenRoundStore(store_options,
+                                map->SliceOf(1).Resolved(grr.domain_size()));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto rounds = (*store)->LoadAll();
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    ASSERT_EQ(rounds->size(), 1u);
+    ASSERT_FALSE((*rounds)[0].finalized);
+    snapshot = (*rounds)[0].state;
+  }
+  ASSERT_GT(snapshot.batches_consumed, 0u);
+  ASSERT_LE(snapshot.batches_consumed, kSent);
+  EXPECT_EQ(snapshot.partition_index, 1u);
+  EXPECT_EQ(snapshot.partition_count, 3u);
 
   // Restart partition 1 with recovery and re-dial only that endpoint.
   {
@@ -256,7 +275,7 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   uint64_t recovered_round = 99;
   auto watermark = (*routing)->QueryWatermark(1, &recovered_round);
   ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-  EXPECT_EQ(*watermark, snapshot->batches_consumed);
+  EXPECT_EQ(*watermark, snapshot.batches_consumed);
   EXPECT_EQ(recovered_round, 0u);
 
   // Replay: partition 1 resumes at its watermark; the survivors already
@@ -274,8 +293,7 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   EXPECT_EQ(result->supports, expected.supports);
   EXPECT_EQ(result->estimates, expected.estimates);
   EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + store_dir + "'").c_str()), 0);
 }
 
 TEST(DistributedE2e, WrongPartitionTrafficIsRejected) {

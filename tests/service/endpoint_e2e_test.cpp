@@ -1,7 +1,7 @@
 // Loopback endpoint end-to-end: the networked collection path must be
 // indistinguishable — bitwise — from the in-process streaming path, at
 // n >= 10^5, and a server killed mid-round must recover from its
-// checkpoint and converge to the identical result.
+// round store and converge to the identical result.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
-#include "service/checkpoint.h"
+#include "service/round_store.h"
 #include "service/transport.h"
 #include "util/rng.h"
 
@@ -112,26 +112,44 @@ std::vector<uint64_t> BatchOrdinals(const ldp::ScalarFrequencyOracle& oracle,
   return ordinals;
 }
 
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "shuffledp_" + name;
+  EXPECT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+  return dir;
+}
+
+// Every round a stopped single-node endpoint left in its store directory
+// (what a restarted endpoint will recover).
+std::vector<StoredRound> LoadStoredRounds(const std::string& dir,
+                                          uint64_t domain) {
+  RoundStoreOptions options;
+  options.dir = dir;
+  options.slice_width = domain;
+  auto store = SegmentedRoundStore::Open(options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return {};
+  auto rounds = (*store)->LoadAll();
+  EXPECT_TRUE(rounds.ok()) << rounds.status().ToString();
+  return rounds.ok() ? *rounds : std::vector<StoredRound>{};
+}
+
 TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
   ldp::Grr grr(2.0, 64);
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 256;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string ckpt = ::testing::TempDir() + "shuffledp_endpoint.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir = FreshDir("endpoint_store");
 
   CollectionServerOptions options;
   options.streaming.batch_size = kBatchSize;
-  options.streaming.checkpoint.path = ckpt;
-  options.streaming.checkpoint.every_batches = 8;
+  options.streaming.round_store.dir = dir;
 
-  // Ground truth: one uninterrupted server round.
+  // Ground truth: one uninterrupted (equally durable) server round.
   RemoteRoundResult expected;
+  const std::string plain_dir = FreshDir("endpoint_store_plain");
   {
     CollectionServerOptions plain = options;
-    plain.streaming.checkpoint.path =
-        ::testing::TempDir() + "shuffledp_endpoint_plain.ckpt";
+    plain.streaming.round_store.dir = plain_dir;
     auto server = CollectionServer::Start(grr, plain);
     ASSERT_TRUE(server.ok());
     auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
@@ -147,11 +165,11 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
         (*client)->FinishRound(round, n, 0, Calibration::kStandard);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected = std::move(*result);
-    RemoveCheckpoint(plain.streaming.checkpoint.path);
   }
+  ASSERT_EQ(std::system(("rm -rf '" + plain_dir + "'").c_str()), 0);
 
-  // Interrupted run: send 35 batches, wait until at least one snapshot
-  // hit disk, then kill the server.
+  // Interrupted run: send 35 batches, wait until some of them are
+  // durable, then kill the server.
   {
     auto server = CollectionServer::Start(grr, options);
     ASSERT_TRUE(server.ok());
@@ -165,22 +183,27 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
                                      BatchOrdinals(grr, b, kBatchSize))
                       .ok());
     }
-    // TCP delivery is asynchronous: wait until at least one snapshot is
-    // on disk (i.e. >= every_batches batches were consumed) so the
-    // "crash" below reliably has something to recover from. The
-    // destructor's drain then consumes whatever else the kernel
-    // delivered; the snapshot interval means the watermark is <= 32.
-    for (int spin = 0; spin < 2000 && !ReadCheckpoint(ckpt).ok(); ++spin) {
+    // TCP delivery is asynchronous: wait until the store holds durable
+    // batches so the "crash" below reliably has something to recover
+    // from. The destructor's drain then persists whatever else the
+    // kernel delivered.
+    auto durable_watermark = [&] {
+      auto lookup = (*server)->store()->Query(round);
+      return lookup.ok() ? lookup->watermark : 0;
+    };
+    for (int spin = 0; spin < 2000 && durable_watermark() < 8; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    ASSERT_TRUE(ReadCheckpoint(ckpt).ok());
+    ASSERT_GE(durable_watermark(), 8u);
     (*server)->Shutdown();
   }
 
-  auto snapshot = ReadCheckpoint(ckpt);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_GT(snapshot->batches_consumed, 0u);
-  ASSERT_LE(snapshot->batches_consumed, 35u);
+  const std::vector<StoredRound> stored = LoadStoredRounds(dir, 64);
+  ASSERT_EQ(stored.size(), 1u);
+  ASSERT_FALSE(stored[0].finalized);
+  const CheckpointState& snapshot = stored[0].state;
+  ASSERT_GT(snapshot.batches_consumed, 0u);
+  ASSERT_LE(snapshot.batches_consumed, 35u);
 
   // Recovered server: the client asks where to resume and replays the
   // suffix (batch self-seeding makes the replay bit-identical).
@@ -195,8 +218,8 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
     uint64_t round = 0;
     auto watermark = (*client)->QueryWatermark(&round);
     ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-    EXPECT_EQ(*watermark, snapshot->batches_consumed);
-    EXPECT_EQ(round, snapshot->round_id);
+    EXPECT_EQ(*watermark, snapshot.batches_consumed);
+    EXPECT_EQ(round, snapshot.round_id);
 
     for (uint64_t b = *watermark; b < kBatches; ++b) {
       ASSERT_TRUE((*client)
@@ -211,24 +234,19 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
     EXPECT_EQ(result->estimates, expected.estimates);
     EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
   }
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // The post-close crash window: the server finalized the round (journal
-// written, checkpoint unlinked) and died before the client read the
-// result. The restarted server must serve the journaled result for that
+// durable in the store) and died before the client read the result. The restarted server must serve the journaled result for that
 // round — bitwise — and still run new rounds afterwards.
 TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
   ldp::Grr grr(2.0, 32);
-  const std::string ckpt = ::testing::TempDir() + "shuffledp_journal.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir = FreshDir("endpoint_journal_store");
 
   CollectionServerOptions options;
   options.streaming.batch_size = 128;
-  options.streaming.checkpoint.path = ckpt;
-  options.streaming.checkpoint.every_batches = 4;
+  options.streaming.round_store.dir = dir;
 
   RemoteRoundResult original;
   {
@@ -244,10 +262,16 @@ TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
     auto result = (*client)->FinishRound(0, 1280, 0, Calibration::kStandard);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     original = std::move(*result);
+    auto lookup = (*server)->store()->Query(0);
+    ASSERT_TRUE(lookup.ok());
+    EXPECT_EQ(lookup->status, RoundStatus::kFinalized);
     (*server)->Shutdown();  // "crash" after close; client got the result,
                             // but a real crash may race the read
   }
-  ASSERT_TRUE(ReadRoundJournal(RoundJournalPath(ckpt)).ok());
+  const std::vector<StoredRound> stored = LoadStoredRounds(dir, 32);
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_TRUE(stored[0].finalized);
+  EXPECT_EQ(stored[0].round_id(), 0u);
 
   {
     CollectionServerOptions recover_options = options;
@@ -282,8 +306,7 @@ TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     EXPECT_EQ(next->reports_decoded, 3u);
   }
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // Segmented-store e2e: two rounds over one endpoint, the server killed

@@ -1,9 +1,10 @@
 // Durable round store units: WAL framing (golden-pinned bytes, torn
 // tail, bit flips, slice identity), the RoundDelta codec, segment
-// goldens, LSN-idempotent replay (duplicate records), retention GC,
-// legacy SDPK/SDPJ migration and the legacy adapter's cadence, and the
-// worker-level ENOSPC degrade path. The crash-point-exhaustive sweep
-// lives in round_store_crash_test.cpp.
+// goldens and the corrupt-segment rejection matrix, LSN-idempotent
+// replay (duplicate records), retention GC, compaction durability
+// (directory fsync before the WAL truncate), the OpenRoundStore slice
+// plumbing, and the worker-level ENOSPC degrade path. The
+// crash-point-exhaustive sweep lives in round_store_crash_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -520,169 +521,180 @@ TEST(SegmentedStore, RetentionKeepsNewestK) {
   RemoveTree(dir);
 }
 
-TEST(SegmentedStore, ImportsLegacyCheckpointAndJournal) {
-  const std::string dir = TempPath("store_migrate");
-  const std::string legacy = TempPath("store_migrate_legacy.ckpt");
+// A segment is written with the atomic-rename discipline, so a bad one
+// on disk is media damage: every framing defect must make Open refuse
+// the directory with DataLoss rather than silently drop a round. Run
+// over a finalized and a live segment.
+TEST(SegmentedStore, CorruptSegmentIsRefusedWithDataLoss) {
+  const std::string dir = TempPath("store_corrupt_segment");
   RemoveTree(dir);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-
-  CheckpointState state;
-  state.round_id = 9;
-  state.batches_consumed = 5;
-  state.rows_seen = 5;
-  state.reports_decoded = 5;
-  state.supports = {1, 2, 0, 2};
-  ASSERT_TRUE(WriteCheckpoint(legacy, state).ok());
-  RoundJournal journal;
-  journal.round_id = 8;
-  journal.n = 10;
-  journal.supports = {3, 3, 2, 2};
-  ASSERT_TRUE(WriteRoundJournal(RoundJournalPath(legacy), journal).ok());
-
-  RoundStoreOptions options = StoreOptions(dir, 4);
-  options.legacy_checkpoint_path = legacy;
+  RoundStoreOptions options = StoreOptions(dir, 8);
+  std::vector<std::string> segments;
   {
     auto store = SegmentedRoundStore::Open(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    auto rounds = (*store)->LoadAll();
-    ASSERT_TRUE(rounds.ok());
-    ASSERT_EQ(rounds->size(), 2u);
-    EXPECT_TRUE((*rounds)[0].finalized);
-    EXPECT_EQ((*rounds)[0].round_id(), 8u);
-    EXPECT_EQ((*rounds)[0].journal.supports, journal.supports);
-    EXPECT_FALSE((*rounds)[1].finalized);
-    EXPECT_EQ((*rounds)[1].round_id(), 9u);
-    EXPECT_EQ((*rounds)[1].batches_consumed, 5u);
-    EXPECT_EQ((*rounds)[1].state.supports, state.supports);
-    ASSERT_TRUE((*store)->CompactNow().ok());
-  }
-  // Migration is read-only: the legacy files are untouched...
-  EXPECT_TRUE(ReadCheckpoint(legacy).ok());
-  EXPECT_TRUE(ReadRoundJournal(RoundJournalPath(legacy)).ok());
-  // ...and once the store holds its own state, it no longer re-imports
-  // (the legacy round would otherwise resurrect forever).
-  {
-    auto store = SegmentedRoundStore::Open(options);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->AbandonRound(9).ok());
-  }
-  auto store = SegmentedRoundStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  auto rounds = (*store)->LoadAll();
-  ASSERT_TRUE(rounds.ok());
-  ASSERT_EQ(rounds->size(), 1u);
-  EXPECT_EQ((*rounds)[0].round_id(), 8u);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-  RemoveTree(dir);
-}
-
-// The imported legacy base is compacted into segments at open: the
-// worker's next deltas continue from the legacy watermark, so a crash
-// before the first cadence compaction must still find a base to chain
-// to on reopen.
-TEST(SegmentedStore, LegacyImportSurvivesCrashBeforeFirstCompaction) {
-  const std::string dir = TempPath("store_migrate_crash");
-  const std::string legacy = TempPath("store_migrate_crash.ckpt");
-  RemoveTree(dir);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-  CheckpointState state;
-  state.round_id = 9;
-  state.batches_consumed = 5;
-  state.rows_seen = 5;
-  state.reports_decoded = 5;
-  state.supports = {1, 2, 0, 2};
-  ASSERT_TRUE(WriteCheckpoint(legacy, state).ok());
-
-  RoundStoreOptions options = StoreOptions(dir, 4);
-  options.legacy_checkpoint_path = legacy;
-  options.compact_every_records = 1000;  // no cadence compaction
-  {
-    auto store = SegmentedRoundStore::Open(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The import became a segment during Open itself.
-    EXPECT_FALSE(ReadRaw((*store)->SegmentPath(9)).empty());
-    RoundDelta d;
-    d.round_id = 9;
-    d.batch_lo = 5;  // continues the legacy watermark
-    d.batch_hi = 6;
-    d.support_deltas = {{0, 1}};
+    RoundJournal journal;
+    journal.round_id = 3;
+    journal.n = 2;
+    journal.supports = {0, 1, 0, 0, 1, 0, 0, 0};
+    ASSERT_TRUE((*store)->FinalizeRound(journal, 1).ok());
+    RoundDelta d = SampleDelta();
+    d.round_id = 4;
+    d.batch_lo = 0;
+    d.batch_hi = 1;
     ASSERT_TRUE((*store)->AppendDelta(d, nullptr).ok());
-  }  // crash before the first cadence compaction
+    ASSERT_TRUE((*store)->CompactNow().ok());
+    segments = {(*store)->SegmentPath(3), (*store)->SegmentPath(4)};
+  }
+  for (const std::string& segment : segments) {
+    const std::vector<uint8_t> good = ReadRaw(segment);
+    ASSERT_GT(good.size(), 16u);
+    auto expect_refused = [&](const std::vector<uint8_t>& bad,
+                              const std::string& what) {
+      WriteRaw(segment, bad);
+      auto store = SegmentedRoundStore::Open(options);
+      ASSERT_FALSE(store.ok()) << segment << ": " << what;
+      EXPECT_EQ(store.status().code(), StatusCode::kDataLoss)
+          << segment << ": " << what << ": " << store.status().ToString();
+    };
+    std::vector<uint8_t> bad = good;
+    bad[0] ^= 0x01;
+    expect_refused(bad, "bad magic");
+    bad = good;
+    bad[4] = kFramedFileVersion + 1;
+    expect_refused(bad, "version skew");
+    for (size_t i = 5; i < 8; ++i) {
+      bad = good;
+      bad[i] = 0x01;
+      expect_refused(bad, "nonzero reserved byte " + std::to_string(i));
+    }
+    bad = good;
+    bad[8] ^= 0x01;
+    expect_refused(bad, "length mismatch");
+    bad = good;
+    bad[12] ^= 0x01;
+    expect_refused(bad, "CRC field mismatch");
+    bad = good;
+    bad.back() ^= 0x01;
+    expect_refused(bad, "payload CRC mismatch");
+    for (size_t len = 0; len < good.size(); ++len) {
+      expect_refused({good.begin(), good.begin() + len},
+                     "truncated to " + std::to_string(len));
+    }
+    WriteRaw(segment, good);
+    ASSERT_TRUE(SegmentedRoundStore::Open(options).ok()) << segment;
+  }
+  RemoveTree(dir);
+}
+
+// Compaction publishes segments by rename, then truncates the WAL. The
+// renames are directory entries: unless the directory is fsynced before
+// the truncate, a power loss can keep the truncate and drop a rename —
+// losing the round. Fail that directory sync: the WAL must still hold
+// every record, so a store whose unsynced renames were rolled back
+// still recovers every round.
+TEST(SegmentedStore, CompactionSyncsDirectoryBeforeWalTruncate) {
+  const std::string dir = TempPath("store_dir_sync");
+  RemoveTree(dir);
+  RoundStoreOptions options = StoreOptions(dir, 8);
+  options.compact_every_records = 1000;  // compact only on demand
+  RoundJournal journal;
+  journal.round_id = 2;
+  journal.n = 3;
+  journal.supports = {1, 0, 2, 0, 0, 0, 0, 0};
+  std::vector<std::string> segments;
+  {
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->FinalizeRound(journal, 3).ok());
+    RoundDelta d = SampleDelta();
+    d.batch_lo = 0;
+    d.batch_hi = 1;
+    ASSERT_TRUE((*store)->AppendDelta(d, nullptr).ok());
+    segments = {(*store)->SegmentPath(2), (*store)->SegmentPath(3)};
+
+    // Two segment writes each fsync their staged file; the third sync
+    // of the compaction is the directory's.
+    FaultInjector injector;
+    FaultRule rule;
+    rule.op = FaultOp::kFileSync;
+    rule.skip = 2;
+    rule.count = 1;
+    rule.action = FaultAction::FailErrno(EIO);
+    injector.AddRule(rule);
+    ScopedFaultInjector installed(&injector);
+    EXPECT_FALSE((*store)->CompactNow().ok());
+    EXPECT_EQ(injector.injected(FaultOp::kFileSync), 1u);
+  }
+  EXPECT_GT(ReadRaw(dir + "/wal.log").size(), kWalHeaderBytes)
+      << "WAL truncated before the segment renames were durable";
+  // Power loss: the renames never reached the disk.
+  for (const std::string& segment : segments) {
+    ASSERT_EQ(std::rename(segment.c_str(), (segment + ".tmp").c_str()), 0);
+  }
   auto store = SegmentedRoundStore::Open(options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto rounds = (*store)->LoadAll();
   ASSERT_TRUE(rounds.ok());
-  ASSERT_EQ(rounds->size(), 1u);
-  EXPECT_FALSE((*rounds)[0].finalized);
-  EXPECT_EQ((*rounds)[0].round_id(), 9u);
-  EXPECT_EQ((*rounds)[0].batches_consumed, 6u);
-  EXPECT_EQ((*rounds)[0].state.supports,
-            (std::vector<uint64_t>{2, 2, 0, 2}));
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
+  ASSERT_EQ(rounds->size(), 2u);
+  EXPECT_TRUE((*rounds)[0].finalized);
+  EXPECT_EQ((*rounds)[0].round_id(), 2u);
+  EXPECT_EQ((*rounds)[0].batches_consumed, 3u);
+  EXPECT_EQ((*rounds)[0].journal.supports, journal.supports);
+  EXPECT_FALSE((*rounds)[1].finalized);
+  EXPECT_EQ((*rounds)[1].round_id(), 3u);
+  EXPECT_EQ((*rounds)[1].batches_consumed, 1u);
+  EXPECT_EQ((*rounds)[1].state.supports[1], 1u);
+  EXPECT_EQ((*rounds)[1].state.supports[4], 1u);
   RemoveTree(dir);
 }
 
-// The legacy adapter writes the exact files on the exact cadence the
-// pre-store worker did: one full snapshot every `every_batches`, a
-// keep-exactly-1 journal, checkpoint removed at close.
-TEST(LegacyStore, PreservesSnapshotCadenceAndFiles) {
-  const std::string path = TempPath("legacy_cadence.ckpt");
-  std::remove(path.c_str());
-  std::remove((path + ".result").c_str());
-  CheckpointOptions legacy;
-  legacy.path = path;
-  legacy.every_batches = 2;
-  auto store = OpenRoundStore(RoundStoreOptions{}, legacy);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_NE(*store, nullptr);
-  EXPECT_FALSE((*store)->WantsDeltas());
-
-  CheckpointState snap;
-  snap.round_id = 1;
-  snap.supports = {0, 0};
-  auto snapshot = [&snap] { return snap; };
-  RoundDelta d;
-  d.round_id = 1;
-  d.batch_lo = 0;
-  d.batch_hi = 1;
-  snap.batches_consumed = 1;
-  ASSERT_TRUE((*store)->AppendDelta(d, snapshot).ok());
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound)
-      << "snapshot before the cadence boundary";
-  d.batch_lo = 1;
-  d.batch_hi = 2;
-  snap.batches_consumed = 2;
-  ASSERT_TRUE((*store)->AppendDelta(d, snapshot).ok());
-  auto on_disk = ReadCheckpoint(path);
-  ASSERT_TRUE(on_disk.ok()) << "snapshot due at batch 2";
-  EXPECT_EQ(on_disk->batches_consumed, 2u);
-  auto live = (*store)->Query(1);
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(live->status, RoundStatus::kActive);
-  EXPECT_EQ(live->watermark, 2u);  // durable watermark, not ingest
-
-  RoundJournal journal;
-  journal.round_id = 1;
-  journal.n = 4;
-  journal.supports = {1, 1};
-  ASSERT_TRUE((*store)->FinalizeRound(journal, 2).ok());
-  ASSERT_TRUE(ReadRoundJournal(RoundJournalPath(path)).ok());
-  ASSERT_TRUE((*store)->CloseRound(1).ok());
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound)
-      << "close removes the mid-round snapshot";
-  EXPECT_EQ((*store)->Query(1)->status, RoundStatus::kFinalized);
-  std::remove(path.c_str());
-  std::remove((path + ".result").c_str());
-}
-
-TEST(OpenRoundStoreFactory, NeitherConfiguredMeansNoStore) {
-  auto store = OpenRoundStore(RoundStoreOptions{}, CheckpointOptions{});
+TEST(OpenRoundStoreFactory, EmptyDirMeansNoStore) {
+  PartitionSlice slice;
+  slice.hi = 4;
+  auto store = OpenRoundStore(RoundStoreOptions{}, slice);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(*store, nullptr);
+}
+
+// The store takes its slice identity from the resolved partition slice:
+// it bounds delta indices by the slice width and stamps the WAL with
+// the partition, so another slice's worker cannot open the directory.
+TEST(OpenRoundStoreFactory, SliceIdentityComesFromResolvedSlice) {
+  const std::string dir = TempPath("store_factory_slice");
+  RemoveTree(dir);
+  RoundStoreOptions options;
+  options.dir = dir;
+  PartitionSlice slice;
+  slice.index = 1;
+  slice.count = 3;
+  slice.lo = 16;
+  slice.hi = 32;
+  {
+    auto store = OpenRoundStore(options, slice);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_NE(*store, nullptr);
+    RoundDelta d;
+    d.round_id = 1;
+    d.batch_lo = 0;
+    d.batch_hi = 1;
+    d.support_deltas = {{15, 1}};  // last slot of the 16-wide slice
+    ASSERT_TRUE((*store)->AppendDelta(d, nullptr).ok());
+    auto rounds = (*store)->LoadAll();
+    ASSERT_TRUE(rounds.ok());
+    ASSERT_EQ(rounds->size(), 1u);
+    EXPECT_EQ((*rounds)[0].state.partition_index, 1u);
+    EXPECT_EQ((*rounds)[0].state.partition_count, 3u);
+    EXPECT_EQ((*rounds)[0].state.slice_lo, 16u);
+    EXPECT_EQ((*rounds)[0].state.supports.size(), 16u);
+  }
+  PartitionSlice other = slice;
+  other.index = 2;
+  EXPECT_EQ(OpenRoundStore(options, other).status().code(),
+            StatusCode::kFailedPrecondition);
+  // A full-domain slice resolves against the domain before opening.
+  EXPECT_EQ(PartitionSlice{}.Resolved(64).hi, 64u);
+  RemoveTree(dir);
 }
 
 // ENOSPC mid-round: the worker sheds durability instead of failing the
