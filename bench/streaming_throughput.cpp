@@ -2,7 +2,7 @@
 //
 // The seed repo collected every report into one in-memory vector and then
 // aggregated it in a single pass; the service layer replaces that with the
-// sharded streaming pipeline (src/service/). This bench measures both
+// streaming pipeline (src/service/). This bench measures both
 // architectures on the same inputs and writes the rows run_benches.sh
 // tracks as BENCH_streaming.json:
 //
@@ -22,10 +22,9 @@
 // the support-kernel backend that produced it.
 //
 // Flags: --n=1000000, --enc_n=20000, --d=1024, --dprime=16, --eps=3.0,
-// --batch=4096, --queue=64, --shards=0 (auto), --smoke (tiny sizes for CI),
-// --json=PATH, --solh_min_rate=0 (rows/s; exit nonzero when the streaming
-// SOLH row at the default d' falls under it — the smoke-job regression
-// budget).
+// --batch=4096, --queue=64, --smoke (tiny sizes for CI), --json=PATH,
+// --solh_min_rate=0 (rows/s; exit nonzero when the streaming SOLH row at
+// the default d' falls under it — the smoke-job regression budget).
 
 #include <algorithm>
 #include <cstdio>
@@ -295,7 +294,6 @@ int main(int argc, char** argv) {
   service::StreamingOptions opts;
   opts.batch_size = flags.GetU64("batch", 4096);
   opts.queue_capacity = flags.GetU64("queue", 64);
-  opts.num_shards = static_cast<uint32_t>(flags.GetU64("shards", 0));
   opts.pool = &pool;
 
   std::printf("streaming_throughput: n=%llu enc_n=%llu d=%llu threads=%u "

@@ -1,8 +1,8 @@
 // Streaming collection service demo.
 //
 // Simulates a server ingesting LDP reports from a large user population
-// through the sharded streaming pipeline (src/service/): bounded queue
-// with backpressure, batched decode, domain-sharded support counting, and
+// through the streaming pipeline (src/service/): bounded queue with
+// backpressure, batched decode, parallel support counting, and
 // multi-round (windowed) collection. Run it at the paper's IPUMS-like
 // scale with:
 //

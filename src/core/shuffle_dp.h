@@ -45,8 +45,7 @@ class ShuffleDpCollector {
     bool use_randomizer_pool = true;
     ThreadPool* pool = nullptr;
     /// Server-side streaming ingestion knobs (batch size, queue
-    /// capacity, shard count); the pool field is ignored in favor of
-    /// `pool` above.
+    /// capacity); the pool field is ignored in favor of `pool` above.
     service::StreamingOptions streaming;
   };
 
@@ -81,7 +80,7 @@ class ShuffleDpCollector {
   /// uniform ordinal fake reports — through a service::StreamingCollector
   /// in batches, and calibrates exactly like Collect's server side.
   /// Distribution-identical to SimulateCollect while exercising the real
-  /// ingestion pipeline (queue, backpressure, domain-sharded counting),
+  /// ingestion pipeline (queue, backpressure, parallel support counting),
   /// so utility studies run at n = 10^6+ without the crypto cost.
   Result<service::RoundResult> CollectStreaming(
       const std::vector<uint64_t>& values, Rng* rng) const;

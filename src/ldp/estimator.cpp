@@ -37,56 +37,68 @@ std::vector<uint64_t> SupportCounts(const ScalarFrequencyOracle& oracle,
   return counts;
 }
 
+void AccumulateSupportCounts(const ScalarFrequencyOracle& oracle,
+                             const LdpReport* reports, size_t count,
+                             uint64_t lo, uint64_t hi, uint64_t* counts,
+                             ThreadPool* pool) {
+  if (count == 0) return;
+  // Equality oracles (GRR) histogram the whole batch whatever the range
+  // width, so a value-range fan-out would multiply that walk.
+  if (pool == nullptr || hi - lo < 2 || oracle.SupportIsValueEquality()) {
+    oracle.AccumulateSupports(reports, count, lo, hi, counts);
+    return;
+  }
+  // Tasks write disjoint count ranges: no atomics, and integer addition
+  // makes the result independent of the split.
+  pool->ParallelFor(lo, hi, [&](uint64_t sub_lo, uint64_t sub_hi) {
+    oracle.AccumulateSupports(reports, count, sub_lo, sub_hi,
+                              counts + (sub_lo - lo));
+  });
+}
+
 std::vector<uint64_t> SupportCountsFullDomain(
     const ScalarFrequencyOracle& oracle,
     const std::vector<LdpReport>& reports, ThreadPool* pool) {
   const uint64_t d = oracle.domain_size();
   std::vector<uint64_t> counts(d, 0);
-  if (pool == nullptr || reports.size() < 4096 || d < 2) {
-    // One tiled bulk pass over the whole domain.
-    oracle.AccumulateSupports(reports.data(), reports.size(), 0, d,
-                              counts.data());
-    return counts;
-  }
-  // Parallel: partition the *value domain* — tasks write disjoint count
-  // ranges, so no atomics and the result is deterministic by
-  // construction (identical per-slot arithmetic regardless of split).
-  pool->ParallelFor(0, d, [&](uint64_t lo, uint64_t hi) {
-    oracle.AccumulateSupports(reports.data(), reports.size(), lo, hi,
-                              counts.data() + lo);
-  });
+  AccumulateSupportCounts(oracle, reports.data(), reports.size(), 0, d,
+                          counts.data(), pool);
   return counts;
 }
 
-std::vector<double> CalibrateEstimates(const ScalarFrequencyOracle& oracle,
-                                       const std::vector<uint64_t>& supports,
-                                       uint64_t n, uint64_t n_fake) {
+namespace {
+
+// f'_v = (support_v − n·q − n_fake·q_fake) / (n (p − q)); the two public
+// calibrations differ only in the fake reports' support probability.
+std::vector<double> Calibrate(const ScalarFrequencyOracle& oracle,
+                              const std::vector<uint64_t>& supports,
+                              uint64_t n, uint64_t n_fake, double q_fake) {
   const SupportProbs sp = oracle.support_probs();
   const double nd = static_cast<double>(n);
-  const double baseline = nd * sp.q_other +
-                          static_cast<double>(n_fake) * sp.q_fake;
+  const double baseline =
+      nd * sp.q_other + static_cast<double>(n_fake) * q_fake;
   const double denom = nd * (sp.p_true - sp.q_other);
   std::vector<double> est(supports.size());
   for (size_t j = 0; j < supports.size(); ++j) {
     est[j] = (static_cast<double>(supports[j]) - baseline) / denom;
   }
   return est;
+}
+
+}  // namespace
+
+std::vector<double> CalibrateEstimates(const ScalarFrequencyOracle& oracle,
+                                       const std::vector<uint64_t>& supports,
+                                       uint64_t n, uint64_t n_fake) {
+  return Calibrate(oracle, supports, n, n_fake,
+                   oracle.support_probs().q_fake);
 }
 
 std::vector<double> CalibrateEstimatesOrdinal(
     const ScalarFrequencyOracle& oracle,
     const std::vector<uint64_t>& supports, uint64_t n, uint64_t n_fake) {
-  const SupportProbs sp = oracle.support_probs();
-  const double nd = static_cast<double>(n);
-  const double baseline =
-      nd * sp.q_other +
-      static_cast<double>(n_fake) * oracle.OrdinalFakeSupportProb();
-  const double denom = nd * (sp.p_true - sp.q_other);
-  std::vector<double> est(supports.size());
-  for (size_t j = 0; j < supports.size(); ++j) {
-    est[j] = (static_cast<double>(supports[j]) - baseline) / denom;
-  }
-  return est;
+  return Calibrate(oracle, supports, n, n_fake,
+                   oracle.OrdinalFakeSupportProb());
 }
 
 std::vector<double> CalibrateEstimatesEq6(const ScalarFrequencyOracle& oracle,

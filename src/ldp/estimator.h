@@ -5,8 +5,11 @@
 //    the calibration of Eqs. (2)/(3), generalized to n true + n_r uniform
 //    fake reports (the PEOS estimator).
 //  * Paper-faithful two-step: Eq. (2)/(3) over all n + n_r reports followed
-//    by the Eq. (6) de-bias. For GRR the two coincide exactly; the general
-//    single-step form is unbiased for every oracle (see DESIGN.md).
+//    by the Eq. (6) de-bias. For GRR the two coincide exactly. The
+//    single-step form is unbiased for every oracle: a true user with
+//    frequency f_v supports v with probability f_v·p + (1 − f_v)·q and a
+//    fake with q_f, so E[support_v] = n·f_v·(p − q) + n·q + n_r·q_f, and
+//    subtracting n·q + n_r·q_f then dividing by n·(p − q) leaves f_v.
 
 #ifndef SHUFFLEDP_LDP_ESTIMATOR_H_
 #define SHUFFLEDP_LDP_ESTIMATOR_H_
@@ -27,6 +30,16 @@ std::vector<uint64_t> SupportCounts(const ScalarFrequencyOracle& oracle,
                                     const std::vector<LdpReport>& reports,
                                     const std::vector<uint64_t>& eval_values,
                                     ThreadPool* pool = nullptr);
+
+/// The one support-aggregation path: for every v in [lo, hi) adds the
+/// number of `reports` supporting v to counts[v − lo] (accumulated, never
+/// assigned). With a pool the value range fans out into sub-ranges that
+/// write disjoint slots, so the counts are identical for any pool size.
+/// Pre: lo <= hi <= domain_size.
+void AccumulateSupportCounts(const ScalarFrequencyOracle& oracle,
+                             const LdpReport* reports, size_t count,
+                             uint64_t lo, uint64_t hi, uint64_t* counts,
+                             ThreadPool* pool);
 
 /// Support counts for the full domain [0, d).
 std::vector<uint64_t> SupportCountsFullDomain(

@@ -79,10 +79,10 @@ class ScalarFrequencyOracle {
 
   /// Bulk aggregation: for every v in [value_lo, value_hi) adds
   /// |{ i : Supports(reports[i], v) }| to counts[v − value_lo]. Counts are
-  /// accumulated, never assigned, so shard slices can share one buffer.
-  /// The default is the per-pair scalar loop — semantics identical by
-  /// construction; LocalHash overrides it with the tiled kernels in
-  /// support_kernels.h (bitwise-identical, pinned by tests).
+  /// accumulated, never assigned, so value sub-ranges can share one
+  /// buffer. The default is the per-pair scalar loop — the reference the
+  /// overrides are tested against: LocalHash runs the tiled kernels in
+  /// support_kernels.h, Grr one histogram increment per report.
   virtual void AccumulateSupports(const LdpReport* reports, size_t count,
                                   uint64_t value_lo, uint64_t value_hi,
                                   uint64_t* counts) const;
@@ -105,9 +105,10 @@ class ScalarFrequencyOracle {
   /// Wire size of one report in bytes (seed + value, packed).
   virtual size_t ReportBytes() const { return 8; }
 
-  /// True when Supports(report, v) reduces to report.value == v (GRR):
-  /// lets aggregators count supports with one histogram increment per
-  /// report instead of a full domain scan.
+  /// True when Supports(report, v) reduces to report.value == v (GRR).
+  /// AccumulateSupports then walks the batch once whatever the value
+  /// range, so aggregators skip the value-range fan-out, and the round
+  /// store captures a sparse per-report delta instead of a diff.
   virtual bool SupportIsValueEquality() const { return false; }
 
   // --- Ordinal codec for PEOS secret sharing ------------------------------

@@ -45,6 +45,15 @@ bool Grr::Supports(const LdpReport& report, uint64_t v) const {
   return report.value == v;
 }
 
+void Grr::AccumulateSupports(const LdpReport* reports, size_t count,
+                             uint64_t value_lo, uint64_t value_hi,
+                             uint64_t* counts) const {
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t v = reports[i].value;
+    if (v >= value_lo && v < value_hi) ++counts[v - value_lo];
+  }
+}
+
 LdpReport Grr::MakeFakeReport(Rng* rng) const {
   LdpReport r;
   r.value = static_cast<uint32_t>(rng->UniformU64(d_));

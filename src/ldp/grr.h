@@ -22,6 +22,11 @@ class Grr : public ScalarFrequencyOracle {
 
   LdpReport Encode(uint64_t v, Rng* rng) const override;
   bool Supports(const LdpReport& report, uint64_t v) const override;
+  /// Equality support: one histogram increment per report whose value
+  /// lies in [value_lo, value_hi) — O(count), not O(count × range).
+  void AccumulateSupports(const LdpReport* reports, size_t count,
+                          uint64_t value_lo, uint64_t value_hi,
+                          uint64_t* counts) const override;
   LdpReport MakeFakeReport(Rng* rng) const override;
   SupportProbs support_probs() const override;
   bool SupportIsValueEquality() const override { return true; }

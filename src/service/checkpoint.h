@@ -3,7 +3,7 @@
 //
 // Two payloads describe a round on disk:
 //
-//   CheckpointState  a partially drained round — merged shard supports,
+//   CheckpointState  a partially drained round — supports so far,
 //                    consumed-batch watermark, running tallies, the
 //                    remaining spot-check dummy multiset. A live round's
 //                    segment file embeds it; StreamingCollector::
@@ -68,7 +68,7 @@ struct CheckpointState {
   uint64_t reports_invalid = 0;
   uint64_t dummies_recognized = 0;
   uint64_t dummies_expected = 0;
-  /// Merged shard aggregates over the owned slice (length = slice size;
+  /// Supports over the owned slice (length = slice size;
   /// the full domain for single-node / kByClient workers).
   std::vector<uint64_t> supports;
   /// Spot-check dummies not yet matched: (packed report, tag) -> count.

@@ -54,7 +54,7 @@ uint32_t PartitionMap::OwnerOfOrdinal(uint64_t ordinal) const {
   if (partitions_ <= 1) return 0;
   if (mode_ == PartitionMode::kByValue && ordinal < domain_size_) {
     // Inverse of the floor(d·p/P) range formula, corrected by at most one
-    // boundary step (same idiom as ShardedSupportCounter's histogram path).
+    // boundary step.
     uint64_t p = ordinal * partitions_ / domain_size_;
     while (ordinal < domain_size_ * p / partitions_) --p;
     while (ordinal >= domain_size_ * (p + 1) / partitions_) ++p;

@@ -8,12 +8,12 @@
 // contract every party agrees on:
 //
 //   kByValue   the ordinal space is cut into contiguous value ranges
-//              (the same floor(d·p/P) formula ShardedSupportCounter
-//              uses); endpoint p owns values [lo_p, hi_p) and counts
-//              supports only over its slice. Requires an oracle whose
-//              support test is value equality (GRR): a report touches
-//              exactly one partition's counters. Merge = concatenate
-//              the P slices in partition order.
+//              (floor(d·p/P) boundaries); endpoint p owns values
+//              [lo_p, hi_p) and counts supports only over its slice.
+//              Requires an oracle whose support test is value
+//              equality (GRR): a report touches exactly one partition's
+//              counters. Merge = concatenate the P slices in partition
+//              order.
 //   kByClient  whole producer batches are assigned round-robin
 //              (batch_index mod P); every endpoint counts supports over
 //              the full domain from its subset of clients. Works for

@@ -86,10 +86,8 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
     options_.pool = nullptr;
   }
   slice_ = options_.partition.Resolved(oracle_.domain_size());
-  counter_ = std::make_unique<ShardedSupportCounter>(
-      oracle_, options_.num_shards, slice_.lo, slice_.hi);
-  drain_counter_ = std::make_unique<ShardedSupportCounter>(
-      oracle_, options_.num_shards, slice_.lo, slice_.hi);
+  supports_.assign(slice_.hi - slice_.lo, 0);
+  drain_supports_.assign(slice_.hi - slice_.lo, 0);
   if (options_.store != nullptr) {
     store_ = options_.store;
   } else {
@@ -106,7 +104,8 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
       queue_.Close();
     }
   }
-  track_support_shadow_ = store_ != nullptr && !counter_->value_equality();
+  track_support_shadow_ =
+      store_ != nullptr && !oracle_.SupportIsValueEquality();
   ResetRoundTallies();
   // The consumer spawns lazily on the first Offer (EnsureConsumer), so a
   // constructed-but-unused worker does not park an idle thread.
@@ -116,7 +115,7 @@ PartitionWorker::~PartitionWorker() {
   queue_.Close();
   if (consumer_.joinable()) consumer_.join();
   // The last round's finalize task may still run on the pool; it touches
-  // the drain counter and its promise, so wait it out before members die.
+  // the drain buffer and its promise, so wait it out before members die.
   if (drain_done_.valid()) drain_done_.wait();
 }
 
@@ -266,7 +265,11 @@ Result<uint64_t> PartitionWorker::RecoverRound(
         std::to_string(state.slice_lo) + "), not this worker's " +
         std::to_string(slice_.index) + "/" + std::to_string(slice_.count));
   }
-  SHUFFLEDP_RETURN_NOT_OK(counter_->Restore(state.supports));
+  if (state.supports.size() != supports_.size()) {
+    return Status::InvalidArgument(
+        "restore vector does not match the counted value range");
+  }
+  supports_ = state.supports;
   if (track_support_shadow_) persisted_supports_ = state.supports;
   rows_seen_ = state.rows_seen;
   batches_seen_ = state.batches_consumed;
@@ -445,11 +448,13 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   }
   reports_decoded_ += kept.size();
   // Split visibility: everything up to here (prepare, decode fan-out,
-  // validation, dummy stripping) is decode cost; the AccumulateBatch
-  // call is pure support accumulation — the two dominate SOLH and GRR
-  // rounds respectively, and the bench reports them separately.
+  // validation, dummy stripping) is decode cost; the
+  // AccumulateSupportCounts call is pure support accumulation — the two
+  // dominate SOLH and GRR rounds respectively, and the bench reports them
+  // separately.
   const double decode_done = timer.ElapsedSeconds();
-  counter_->AccumulateBatch(kept, options_.pool);
+  ldp::AccumulateSupportCounts(oracle_, kept.data(), kept.size(), slice_.lo,
+                               slice_.hi, supports_.data(), options_.pool);
   const double batch_done = timer.ElapsedSeconds();
   decode_seconds_ += decode_done;
   support_eval_seconds_ += batch_done - decode_done;
@@ -464,10 +469,10 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     delta.rows_delta = batch.count;
     delta.decoded_delta = kept.size();
     delta.invalid_delta = reports_invalid_ - invalid_before;
-    if (counter_->value_equality()) {
+    if (oracle_.SupportIsValueEquality()) {
       // Equality oracles support exactly the reported value: the sparse
-      // delta is a histogram of the kept in-slice values, mirroring the
-      // counter's own fast path.
+      // delta is a histogram of the kept in-slice values, mirroring
+      // Grr::AccumulateSupports.
       std::map<uint64_t, uint64_t> histogram;
       for (const ldp::LdpReport& report : kept) {
         if (report.value >= slice_.lo && report.value < slice_.hi) {
@@ -477,10 +482,10 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
       delta.support_deltas.assign(histogram.begin(), histogram.end());
     } else {
       // General oracles (hash-based) support many values per report:
-      // diff the counter's contiguous counts view against the shadow of
-      // what the store has already seen, updating the shadow in place at
-      // the changed slots — no per-batch snapshot allocation.
-      const std::vector<uint64_t>& current = counter_->counts();
+      // diff the live supports against the shadow of what the store has
+      // already seen, updating the shadow in place at the changed slots —
+      // no per-batch snapshot allocation.
+      const std::vector<uint64_t>& current = supports_;
       for (size_t i = 0; i < current.size(); ++i) {
         if (current[i] != persisted_supports_[i]) {
           delta.support_deltas.emplace_back(
@@ -530,7 +535,7 @@ void PartitionWorker::ProcessRoundClose(
   std::vector<uint64_t> finalized;
   bool prefinalized = false;
   if (store_ != nullptr && !durability_degraded_) {
-    finalized = counter_->Finalize();
+    finalized = supports_;
     prefinalized = true;
     RoundJournal journal;
     journal.round_id = closed_round;
@@ -561,10 +566,10 @@ void PartitionWorker::ProcessRoundClose(
   }
 
   // Double-buffer swap: wait until the previous round's finalize task has
-  // released the back buffer, then hand it the counter we just filled and
-  // keep ingesting the next round into the freshly reset one.
+  // released the back buffer, then hand it the supports we just filled and
+  // keep ingesting the next round into the freshly zeroed ones.
   if (drain_done_.valid()) drain_done_.wait();
-  std::swap(counter_, drain_counter_);
+  std::swap(supports_, drain_supports_);
 
   // This round is fully accumulated (and, when durable, finalized in the
   // store); its mid-round state is stale. The close happens here
@@ -579,7 +584,7 @@ void PartitionWorker::ProcessRoundClose(
 
   struct DrainJob {
     std::shared_ptr<RoundClose> close;
-    ShardedSupportCounter* drained;
+    std::vector<uint64_t>* drained;
     const ldp::ScalarFrequencyOracle* oracle;
     uint64_t reports_decoded, reports_invalid, dummies_recognized;
     uint64_t dummies_expected;
@@ -591,19 +596,19 @@ void PartitionWorker::ProcessRoundClose(
 
     void Run() {
       RoundResult result = FinalizeRoundResult(
-          *oracle, prefinalized ? std::move(finalized) : drained->Finalize(),
+          *oracle, prefinalized ? std::move(finalized) : *drained,
           close->n, close->n_fake, close->calibration, reports_decoded,
           reports_invalid, dummies_recognized, dummies_expected);
       result.durability_degraded = durability_degraded;
       result.durability_warning = std::move(durability_warning);
       result.stats = stats;
-      drained->Reset();  // back buffer ready for the next swap
+      std::fill(drained->begin(), drained->end(), 0);  // ready to swap
       close->promise.set_value(std::move(result));
     }
   };
   auto job = std::make_shared<DrainJob>();
   job->close = close;
-  job->drained = drain_counter_.get();
+  job->drained = &drain_supports_;
   job->oracle = &oracle_;
   job->reports_decoded = reports_decoded_;
   job->reports_invalid = reports_invalid_;
@@ -645,8 +650,8 @@ void PartitionWorker::ResetAfterError() {
     drain_done_.wait();
     drain_done_ = std::future<void>();
   }
-  counter_->Reset();
-  drain_counter_->Reset();
+  std::fill(supports_.begin(), supports_.end(), 0);
+  std::fill(drain_supports_.begin(), drain_supports_.end(), 0);
   {
     std::lock_guard<std::mutex> lock(status_mu_);
     round_status_ = Status::OK();

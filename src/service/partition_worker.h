@@ -17,26 +17,27 @@
 //                (backpressure)                   │ decode batch   (pool)
 //                                                 │ validate + strip dummies
 //                                                 ▼ count supports (pool,
-//                                                   domain-sharded)
+//                                                   value-range fan-out)
 //
 // Producers enqueue fixed-size batches of reports and block when the
 // bounded queue fills (backpressure). A dedicated consumer drains batches
 // in FIFO order; for each batch it fans the per-report decode step
 // (ECIES peel, Paillier share reconstruction, …) out across the
-// ThreadPool, then fans support counting out across domain shards
-// (sharded_counter.h). Because every aggregate is an integer counter and
-// shard slices merge in shard order, the finalized supports — and hence
-// the estimates — are bitwise identical for any pool size, including no
-// pool at all. Spot-check dummies (sequential shuffle §VI-A1) are
-// registered up front and stripped before counting.
+// ThreadPool, then counts supports with ldp::AccumulateSupportCounts,
+// which splits the slice's value range across the pool. Because every
+// aggregate is an integer counter and each value sub-range owns its own
+// slots, the finalized supports — and hence the estimates — are bitwise
+// identical for any pool size, including no pool at all. Spot-check
+// dummies (sequential shuffle §VI-A1) are registered up front and
+// stripped before counting.
 //
 // Rounds are pipelined: CloseRound() enqueues a round-close sentinel and
 // returns a future immediately, so producers start offering round k+1
 // batches while round k's tail is still decoding. At the sentinel the
-// consumer swaps to the second of two double-buffered
-// ShardedSupportCounters and hands the drained one to a finalize/
-// calibrate task, so even the merge of round k overlaps round k+1
-// ingest. FinishRound() is the synchronous wrapper (close + wait).
+// consumer swaps to the second of two double-buffered supports vectors
+// and hands the drained one to a finalize/calibrate task, so even the
+// merge of round k overlaps round k+1 ingest. FinishRound() is the
+// synchronous wrapper (close + wait).
 //
 // Crash safety: round persistence goes through a RoundStore
 // (round_store.h). With StreamingOptions::round_store.dir set, the
@@ -76,7 +77,6 @@
 #include "service/checkpoint.h"
 #include "service/partition.h"
 #include "service/round_store.h"
-#include "service/sharded_counter.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -125,7 +125,6 @@ enum class Calibration : uint8_t {
 struct StreamingOptions {
   size_t batch_size = 4096;     ///< reports per batch (producer helpers)
   size_t queue_capacity = 64;   ///< buffered batches before backpressure
-  uint32_t num_shards = 0;      ///< domain shards; 0 = min(64, slice width)
   uint64_t decode_chunk = 512;  ///< reports per decode task
   ThreadPool* pool = nullptr;   ///< decode/count fan-out; null = serial
   /// The domain slice this worker owns (default: full domain, 1-of-1).
@@ -231,7 +230,7 @@ class PartitionWorker {
 
   /// Closes the current round *asynchronously*: enqueues a round-close
   /// sentinel behind everything offered so far and returns a future that
-  /// resolves once the round's batches have drained and its counter has
+  /// resolves once the round's batches have drained and its supports have
   /// been finalized and calibrated (n users, n_fake fake reports).
   /// Batches offered after CloseRound belong to the next round and start
   /// decoding while the previous round drains. After a failed round,
@@ -332,8 +331,9 @@ class PartitionWorker {
 
   // Consumer-owned state (the single consumer thread writes; other
   // threads read only after joining it, except the atomic round id).
-  std::unique_ptr<ShardedSupportCounter> counter_;        // active round
-  std::unique_ptr<ShardedSupportCounter> drain_counter_;  // back buffer
+  // Supports over the slice, indexed by value − slice_.lo.
+  std::vector<uint64_t> supports_;        // active round
+  std::vector<uint64_t> drain_supports_;  // back buffer
   std::future<void> drain_done_;  // pending finalize of the previous round
   std::atomic<uint64_t> round_id_{0};
   uint64_t rows_seen_ = 0;
@@ -366,7 +366,7 @@ class PartitionWorker {
   std::atomic<bool> degraded_flag_{false};
   /// Shadow of the supports the store has seen — only maintained for
   /// non-value-equality oracles with a store attached, where per-batch
-  /// deltas come from diffing the counter's counts instead of a kept-row
+  /// deltas come from diffing the live supports instead of a kept-row
   /// histogram.
   bool track_support_shadow_ = false;
   std::vector<uint64_t> persisted_supports_;

@@ -670,6 +670,16 @@ class CollectionServer::EventLoop {
                             wheel_.TimeoutMs());
       if (rc < 0 && errno != EINTR) break;
       if (rc < 0) rc = 0;
+      // Drain the wakeup eventfd *before* taking the task list: a Wake()
+      // landing after the swap below then leaves the eventfd readable
+      // for the next epoll_wait instead of being consumed unseen, which
+      // would strand its task (or stop request) behind an infinite wait.
+      for (int i = 0; i < rc; ++i) {
+        if (events[i].data.u64 != kWakeupKey) continue;
+        uint64_t drained = 0;
+        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
+        }
+      }
       bool stop = false;
       tasks.clear();
       {
@@ -682,12 +692,7 @@ class CollectionServer::EventLoop {
       for (int i = 0; i < rc; ++i) {
         const uint64_t key = events[i].data.u64;
         const uint32_t ev = events[i].events;
-        if (key == kWakeupKey) {
-          uint64_t drained = 0;
-          while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
-          }
-          continue;
-        }
+        if (key == kWakeupKey) continue;  // drained above
         if (key == kListenKey) {
           OnAccept();
           continue;
@@ -1536,6 +1541,11 @@ Status CollectionServer::EventLoop::HandleFrameEvent(Conn* c, Frame frame) {
       SHUFFLEDP_ASSIGN_OR_RETURN(uint8_t cal, r.GetU8());
       if (!r.AtEnd() || cal > static_cast<uint8_t>(Calibration::kNone)) {
         return Status::ProtocolViolation("malformed finish payload");
+      }
+      // A calibrated close divides by n·(p − q): n = 0 would reply with
+      // ±inf/NaN estimates. Raw-supports closes (kNone) take any n.
+      if (n == 0 && cal != static_cast<uint8_t>(Calibration::kNone)) {
+        return Status::ProtocolViolation("calibrated finish with n = 0");
       }
       std::future<Result<RoundResult>> future;
       bool closing = false;

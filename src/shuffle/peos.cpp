@@ -179,9 +179,9 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
                     total * cipher_bytes /* ciphertext column */);
 
   // --- Server: streaming decrypt + reconstruct + estimate -------------------
-  // Rows are offered to the sharded streaming collector in fixed-size
-  // batches; its consumer fans the Paillier decryptions and the
-  // domain-sharded support counting out across the pool. Padding-region
+  // Rows are offered to the streaming collector in fixed-size batches;
+  // its consumer fans the Paillier decryptions and the support counting
+  // out across the pool. Padding-region
   // ordinals (possible only when the ordinal space is not padding-free)
   // and malformed rows are dropped as invalid and accounted for by the
   // ordinal calibration.

@@ -222,10 +222,10 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
 
   // --- Server: streaming peel + spot-check + count + estimate --------------
   // The monolithic peel-everything-then-count pass is replaced by the
-  // sharded streaming pipeline: blobs are offered in fixed-size batches;
-  // the collector's consumer fans ECIES decryption and domain-sharded
-  // support counting out across the pool and strips the registered
-  // spot-check dummies before estimation.
+  // streaming pipeline: blobs are offered in fixed-size batches; the
+  // collector's consumer fans ECIES decryption and support counting out
+  // across the pool and strips the registered spot-check dummies before
+  // estimation.
   {
     service::StreamingOptions stream_opts = config.streaming;
     stream_opts.pool = config.pool;

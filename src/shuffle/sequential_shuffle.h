@@ -45,7 +45,7 @@ struct SequentialShuffleConfig {
   std::vector<ShufflerBehaviour> behaviours;  ///< per shuffler; default honest
   ThreadPool* pool = nullptr;            ///< parallel user encryption
   /// Server-side ingestion pipeline knobs (batch size, queue capacity,
-  /// shard count, crash-safe `streaming.round_store` persistence).
+  /// crash-safe `streaming.round_store` persistence).
   /// `streaming.pool` is ignored — the server pipeline shares `pool`.
   service::StreamingOptions streaming;
 };

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ldp/grr.h"
+#include "ldp/hadamard.h"
 #include "ldp/local_hash.h"
 #include "util/stats.h"
 
@@ -46,6 +49,55 @@ TEST(SupportCountsTest, GrrSupportsSumToN) {
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   EXPECT_EQ(total, n);
+}
+
+// The one aggregation path must equal the base-class per-pair loop for
+// every oracle, pool size and value range. Counts start non-zero to pin
+// the accumulate-never-assign contract; the interior and single-value
+// ranges see GRR reports lying outside the slice.
+TEST(AccumulateSupportCountsTest, MatchesPerPairReferenceMatrix) {
+  const uint64_t d = 97, n = 3000;
+  std::vector<std::unique_ptr<ScalarFrequencyOracle>> oracles;
+  oracles.push_back(std::make_unique<Grr>(2.0, d));
+  oracles.push_back(std::make_unique<LocalHash>(2.0, d, 16, "SOLH"));
+  oracles.push_back(std::make_unique<LocalHash>(2.0, d, 19, "SOLH"));
+  oracles.push_back(std::make_unique<HadamardResponse>(2.0, d));
+  ThreadPool pool1(1), pool3(3), pool4(4);
+  const std::vector<ThreadPool*> pools = {nullptr, &pool1, &pool3, &pool4};
+  struct Range {
+    const char* name;
+    uint64_t lo, hi;
+    bool empty_batch;
+  };
+  const std::vector<Range> ranges = {{"full", 0, d, false},
+                                     {"interior", 23, 71, false},
+                                     {"single", 40, 41, false},
+                                     {"empty-batch", 0, d, true}};
+
+  for (const auto& oracle : oracles) {
+    Rng rng(9);
+    std::vector<LdpReport> reports(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      reports[i] = oracle->Encode(i % 3 == 0 ? 40 : i % d, &rng);
+    }
+    for (const Range& range : ranges) {
+      const size_t count = range.empty_batch ? 0 : reports.size();
+      std::vector<uint64_t> expected(range.hi - range.lo);
+      for (size_t i = 0; i < expected.size(); ++i) expected[i] = 7 * i;
+      std::vector<uint64_t> initial = expected;
+      oracle->ScalarFrequencyOracle::AccumulateSupports(
+          reports.data(), count, range.lo, range.hi, expected.data());
+      for (ThreadPool* pool : pools) {
+        std::vector<uint64_t> counts = initial;
+        AccumulateSupportCounts(*oracle, reports.data(), count, range.lo,
+                                range.hi, counts.data(), pool);
+        EXPECT_EQ(counts, expected)
+            << oracle->Name() << " d'=" << oracle->report_domain() << " "
+            << range.name << " threads="
+            << (pool == nullptr ? 0 : pool->num_threads());
+      }
+    }
+  }
 }
 
 // With fake reports, the generalized calibration stays unbiased for both

@@ -1,5 +1,6 @@
 // End-to-end bulk-aggregation-path check: a full SOLH streaming round
-// (encode → offer → shard fan-out → bulk support kernels → calibrate)
+// (encode → offer → value-range fan-out → bulk support kernels →
+// calibrate)
 // must produce *bitwise identical* supports and estimates no matter
 // which support-kernel backend aggregates it — the SIMD kernels, the
 // portable unrolled backend, and the forced per-pair scalar reference
@@ -7,18 +8,18 @@
 //
 // This is the integration-level counterpart of the per-kernel
 // cross-checks in tests/ldp/support_kernel_test.cpp: it exercises the
-// real pipeline wiring (StreamingCollector batches, ShardedSupportCounter
-// slice restriction, the pool==nullptr single-pass path) rather than the
-// kernel entry points in isolation.
+// real pipeline wiring (StreamingCollector batches, slice-restricted
+// ldp::AccumulateSupportCounts, the pool==nullptr single-pass path)
+// rather than the kernel entry points in isolation.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "ldp/estimator.h"
 #include "ldp/local_hash.h"
 #include "ldp/support_kernels.h"
-#include "service/sharded_counter.h"
 #include "service/streaming_collector.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -69,10 +70,9 @@ struct RoundOutput {
 
 RoundOutput RunStreamingRound(const ldp::ScalarFrequencyOracle& oracle,
                               const std::vector<ldp::LdpReport>& reports,
-                              ThreadPool* pool, uint32_t num_shards) {
+                              ThreadPool* pool) {
   StreamingOptions opts;
   opts.batch_size = 4096;
-  opts.num_shards = num_shards;
   opts.pool = pool;
   StreamingCollector collector(oracle, opts);
   EXPECT_TRUE(collector.OfferReports(reports).ok());
@@ -108,7 +108,7 @@ TEST(AggregationKernelE2E, MillionRowStreamingBitwiseAcrossBackends) {
   std::vector<RoundOutput> runs;
   for (ldp::SupportBackend backend : HostBackends()) {
     ldp::SetSupportBackend(backend);
-    runs.push_back(RunStreamingRound(oracle, reports, &pool, 8));
+    runs.push_back(RunStreamingRound(oracle, reports, &pool));
     EXPECT_EQ(runs.back().rows_aggregated, n)
         << ldp::SupportBackendName(backend);
   }
@@ -134,7 +134,7 @@ TEST(AggregationKernelE2E, NonPowerOfTwoDPrimeStreamingBitwise) {
   std::vector<RoundOutput> runs;
   for (ldp::SupportBackend backend : HostBackends()) {
     ldp::SetSupportBackend(backend);
-    runs.push_back(RunStreamingRound(oracle, reports, &pool, 5));
+    runs.push_back(RunStreamingRound(oracle, reports, &pool));
   }
   for (size_t i = 1; i < runs.size(); ++i) {
     EXPECT_EQ(runs[0].supports, runs[i].supports);
@@ -142,7 +142,7 @@ TEST(AggregationKernelE2E, NonPowerOfTwoDPrimeStreamingBitwise) {
   }
 }
 
-// Slice-restricted counters (a partition worker owning [lo, hi)) must
+// Slice-restricted counting (a partition worker owning [lo, hi)) must
 // agree with the matching slice of a full-domain pass, across backends
 // and across the pooled fan-out vs the pool==nullptr single-pass path.
 TEST(AggregationKernelE2E, SliceRestrictedCounterMatchesFullDomainSlice) {
@@ -157,9 +157,7 @@ TEST(AggregationKernelE2E, SliceRestrictedCounterMatchesFullDomainSlice) {
   for (ldp::SupportBackend backend : HostBackends()) {
     ldp::SetSupportBackend(backend);
 
-    ShardedSupportCounter full(oracle, 6);
-    full.AccumulateBatch(reports, &pool);
-    auto full_counts = full.Finalize();
+    auto full_counts = ldp::SupportCountsFullDomain(oracle, reports, &pool);
     std::vector<uint64_t> slice_of_full(full_counts.begin() + lo,
                                         full_counts.begin() + hi);
     if (reference.empty()) reference = slice_of_full;
@@ -167,9 +165,10 @@ TEST(AggregationKernelE2E, SliceRestrictedCounterMatchesFullDomainSlice) {
         << ldp::SupportBackendName(backend);
 
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      ShardedSupportCounter sliced(oracle, 4, lo, hi);
-      sliced.AccumulateBatch(reports, p);
-      EXPECT_EQ(sliced.Finalize(), slice_of_full)
+      std::vector<uint64_t> sliced(hi - lo, 0);
+      ldp::AccumulateSupportCounts(oracle, reports.data(), reports.size(),
+                                   lo, hi, sliced.data(), p);
+      EXPECT_EQ(sliced, slice_of_full)
           << ldp::SupportBackendName(backend)
           << (p == nullptr ? " serial" : " pooled");
     }

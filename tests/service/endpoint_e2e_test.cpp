@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -495,6 +497,73 @@ TEST(EndpointE2e, WrongRoundIdIsRejected) {
   auto result = (*client)->ReadRoundResult();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kProtocolViolation);
+}
+
+// A calibrated close divides by n·(p − q), so n = 0 would hand the
+// client ±inf/NaN estimates built from network input. The endpoint must
+// refuse it without closing the round; a later valid close still works,
+// and a raw-supports (kNone) close stays legal with any n.
+TEST(EndpointE2e, CalibratedFinishWithZeroUsersIsRejected) {
+  ldp::Grr grr(2.0, 16);
+  auto server = CollectionServer::Start(grr, CollectionServerOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  for (Calibration cal : {Calibration::kStandard, Calibration::kOrdinal}) {
+    auto bad = CollectorClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(bad.ok());
+    if (cal == Calibration::kStandard) {
+      ASSERT_TRUE((*bad)->SendOrdinals(0, grr, {1, 2, 3}).ok());
+    }
+    auto refused = (*bad)->FinishRound(0, 0, 0, cal);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kProtocolViolation);
+    EXPECT_EQ((*server)->round_id(), 0u);
+  }
+
+  auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto closed = (*client)->FinishRound(0, 3, 0, Calibration::kStandard);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->reports_decoded, 3u);
+  for (double e : closed->estimates) EXPECT_TRUE(std::isfinite(e));
+
+  auto raw = (*client)->FinishRound(1, 0, 0, Calibration::kNone);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_TRUE(raw->estimates.empty());
+}
+
+// Runs Shutdown() under a watchdog. On a missed deadline the server is
+// leaked (its loop thread is stuck) so the test fails instead of hanging.
+bool ShutdownWithin(std::unique_ptr<CollectionServer> server,
+                    std::chrono::seconds deadline) {
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  CollectionServer* raw = server.release();
+  std::thread([raw, done] {
+    raw->Shutdown();
+    done->set_value();
+  }).detach();
+  if (finished.wait_for(deadline) != std::future_status::ready) return false;
+  delete raw;
+  return true;
+}
+
+// Shutdown right behind a kFinish reply races the stop request's wakeup
+// against the loop iteration that delivered the reply. A wakeup consumed
+// without being seen parks the loop in epoll_wait for good, so Shutdown
+// never returns.
+TEST(EndpointE2e, ShutdownAfterFinishNeverLosesTheWakeup) {
+  ldp::Grr grr(2.0, 16);
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    auto server = CollectionServer::Start(grr, CollectionServerOptions());
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->SendOrdinals(0, grr, {1, 2, 3}).ok());
+    auto result = (*client)->FinishRound(0, 3, 0, Calibration::kStandard);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(ShutdownWithin(std::move(*server), std::chrono::seconds(10)))
+        << "Shutdown hung in cycle " << cycle;
+  }
 }
 
 }  // namespace

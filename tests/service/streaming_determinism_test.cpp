@@ -7,8 +7,8 @@
 // randomized output.
 //
 // The guarantees under test: fixed-size encode chunks (ForChunks) pin the
-// per-chunk RNG seeds, integer shard counters make accumulation
-// order-free, and Finalize() merges shard slices in shard order.
+// per-chunk RNG seeds, and integer support counters over disjoint value
+// sub-ranges make accumulation order-free.
 
 #include <gtest/gtest.h>
 
@@ -129,7 +129,6 @@ TEST(StreamingDeterminism, CollectStreamingAcrossPoolSizesAndRepeats) {
     core::ShuffleDpCollector::Options options;
     options.pool = &pool;
     options.streaming.batch_size = 2048;
-    options.streaming.num_shards = 32;
     auto collector = core::ShuffleDpCollector::Create(goals, n, d, options);
     ASSERT_TRUE(collector.ok()) << collector.status().ToString();
     // Two repeats per pool size: bitwise-stable reruns.

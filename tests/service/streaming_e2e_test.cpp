@@ -1,7 +1,7 @@
 // End-to-end streaming collection at the ROADMAP's scale target:
 // n = 10^6 simulated users, d = 1024 — the paper's IPUMS setting scaled
 // up — must complete through the full pipeline (bounded queue, batched
-// ingest, domain-sharded counting) on a laptop-class box, and its output
+// ingest, parallel support counting) on a laptop-class box, and its output
 // must agree *in distribution* with the statistically-exact simulator
 // (ShuffleDpCollector::SimulateCollect / FastSimulateSupports).
 //
