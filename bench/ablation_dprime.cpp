@@ -1,7 +1,7 @@
 // Ablation: how sensitive is SOLH to the hash range d'?
 //
-// DESIGN.md calls out Eq. (5) (d' = (m+2)/3) as the paper's key design
-// choice over OLH's LDP-optimal d' = e^ε + 1. This bench sweeps d' at
+// The paper's key design choice is Eq. (5) (d' = (m+2)/3) over OLH's
+// LDP-optimal d' = e^ε + 1. This bench sweeps d' at
 // fixed ε_c on the IPUMS-shaped workload and prints both the analytic
 // variance (Proposition 6) and the simulated MSE, marking the Eq. (5)
 // optimum — the curve should be convex with its minimum at the mark.

@@ -163,18 +163,6 @@ void BM_Paillier_HomomorphicAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_Paillier_HomomorphicAdd);
 
-void BM_Paillier_EncryptFixedBase(benchmark::State& state) {
-  // DJN short-exponent fixed-base randomizers (fresh mask per call).
-  auto& f = Paillier();
-  RandomizerPool pool(f.kp.pub, 2, &Srng(),
-                      RandomizerPool::Mode::kFixedBase);
-  uint64_t m = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.EncryptFastU64(m++, &Srng()));
-  }
-}
-BENCHMARK(BM_Paillier_EncryptFixedBase)->Unit(benchmark::kMicrosecond);
-
 void BM_Paillier_DecryptPacked(benchmark::State& state) {
   // Packed share recovery at the PEOS Table-III layout (SOLH d'=16:
   // ell = 36, r = 3: slot = 39); per-row cost = time / items.

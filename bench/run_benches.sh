@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the perf-trajectory benchmarks and writes the JSON artifacts at the
-# repo root:
+# repo root (under --smoke, into BUILD_DIR instead):
 #   BENCH_micro_crypto.json  - google-benchmark output of bench_micro_crypto
 #                              (includes *_Reference / *_Portable rows, i.e.
 #                              the seed "before" numbers next to the fast
@@ -23,7 +23,8 @@
 # Usage: bench/run_benches.sh [BUILD_DIR] [--smoke]
 #   --smoke: CI-sized inputs (small n everywhere) to verify the benches
 #            still run; the JSON artifacts are only meaningful from a full
-#            (non-smoke) run.
+#            (non-smoke) run, so a smoke run writes them into BUILD_DIR and
+#            leaves the checked-in files at the repo root untouched.
 # Also reachable as `cmake --build build --target run_benches`.
 set -euo pipefail
 
@@ -61,7 +62,9 @@ SMOKE_TABLE3_BUDGET="${SMOKE_TABLE3_BUDGET:-600}"
 # job should fail. 0 disables. No budget on full runs.
 SMOKE_SOLH_MIN_RATE="${SMOKE_SOLH_MIN_RATE:-300000}"
 TABLE3_TIMEOUT=()
+OUT_DIR="$ROOT"
 if [[ "$SMOKE" == "1" ]]; then
+  OUT_DIR="$BUILD_DIR"
   TABLE3_N=300
   STREAMING_FLAGS="--smoke --solh_min_rate=$SMOKE_SOLH_MIN_RATE"
   if [[ "$SMOKE_TABLE3_BUDGET" != "0" ]] && command -v timeout >/dev/null; then
@@ -78,7 +81,7 @@ if [[ -x "$BUILD_DIR/bench_micro_crypto" ]]; then
   "$BUILD_DIR/bench_micro_crypto" \
     ${MICRO_FILTER:+--benchmark_filter="$MICRO_FILTER"} \
     ${MICRO_TIME_FLAG:+"$MICRO_TIME_FLAG"} \
-    --benchmark_out="$ROOT/BENCH_micro_crypto.json" \
+    --benchmark_out="$OUT_DIR/BENCH_micro_crypto.json" \
     --benchmark_out_format=json
 else
   echo "bench_micro_crypto not built (google-benchmark missing); skipping"
@@ -86,12 +89,12 @@ fi
 
 ${TABLE3_TIMEOUT[@]+"${TABLE3_TIMEOUT[@]}"} \
   "$BUILD_DIR/bench_table3_overhead" --n="$TABLE3_N" \
-  --json="$ROOT/BENCH_table3.json"
+  --json="$OUT_DIR/BENCH_table3.json"
 
 "$BUILD_DIR/bench_streaming_throughput" $STREAMING_FLAGS \
-  --json="$ROOT/BENCH_streaming.json"
+  --json="$OUT_DIR/BENCH_streaming.json"
 
 "$BUILD_DIR/bench_distributed_throughput" $STREAMING_FLAGS \
-  --json="$ROOT/BENCH_distributed.json"
+  --json="$OUT_DIR/BENCH_distributed.json"
 
-echo "wrote $ROOT/BENCH_micro_crypto.json, $ROOT/BENCH_table3.json, $ROOT/BENCH_streaming.json and $ROOT/BENCH_distributed.json"
+echo "wrote $OUT_DIR/BENCH_micro_crypto.json, $OUT_DIR/BENCH_table3.json, $OUT_DIR/BENCH_streaming.json and $OUT_DIR/BENCH_distributed.json"

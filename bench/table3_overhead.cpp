@@ -11,7 +11,8 @@
 // the paper. See EXPERIMENTS.md for the measured-vs-paper discussion.
 //
 // Flags: --n=4000, --paillier_bits=1024, --exactcrypto (disable the
-// randomizer pool; DESIGN.md §4 item 5), --fakes=0 (paper ignores n_r),
+// pairwise randomizer pool, a simulation shortcut, so every encryption and
+// re-mask is a full-width r^N modexp), --fakes=0 (paper ignores n_r),
 // --json=PATH (additionally dump the measured rows as JSON, used by
 // bench/run_benches.sh to track the perf trajectory across PRs).
 

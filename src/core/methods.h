@@ -41,8 +41,8 @@ bool IsShuffleMethod(Method method);
 /// One utility trial: frequency estimates at `eval_points` for the
 /// dataset summarized by `value_counts` (true per-value counts, n users),
 /// at privacy target ε_c (interpreted as ε_l for the LDP methods and as
-/// the central ε for Lap). Uses the fast aggregate simulation (DESIGN.md
-/// §5), so Kosarak-scale trials run in O(|eval_points|).
+/// the central ε for Lap). Uses the fast aggregate simulation
+/// (ldp/fast_sim.h), so Kosarak-scale trials run in O(|eval_points|).
 Result<std::vector<double>> RunUtilityTrial(
     Method method, const std::vector<uint64_t>& value_counts, uint64_t n,
     double eps_c, double delta, const std::vector<uint64_t>& eval_points,

@@ -11,7 +11,8 @@
 //
 // Collect() executes the real protocol (secret sharing, Paillier, EOS);
 // SimulateCollect() draws from the identical output distribution in O(d)
-// (DESIGN.md §5) for utility studies.
+// (per-value supports are sums of independent Binomials; ldp/fast_sim.h)
+// for utility studies.
 
 #ifndef SHUFFLEDP_CORE_SHUFFLE_DP_H_
 #define SHUFFLEDP_CORE_SHUFFLE_DP_H_

@@ -2,7 +2,8 @@
 //
 // Built from scratch as the substrate for the Paillier additively-
 // homomorphic encryption used by PEOS (the paper instantiates its AHE with
-// DGK at 3072-bit ciphertexts; see DESIGN.md §4 for the substitution note).
+// DGK at 3072-bit ciphertexts; Paillier with a final mod-2^ell reduction is
+// an exact behavioural substitute, see crypto/paillier.h).
 //
 // Representation: little-endian vector of 64-bit limbs, normalized so the
 // most significant limb is nonzero (zero is the empty vector). All values

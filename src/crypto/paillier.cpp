@@ -35,17 +35,10 @@ MontgomeryCtx::Scratch& TlsScratch(const MontgomeryCtx& ctx) {
   return scratch;
 }
 
-std::vector<uint64_t>& TlsMaskBuf(size_t limbs, int which = 0) {
-  thread_local std::vector<uint64_t> bufs[2];
-  std::vector<uint64_t>& buf = bufs[which];
+std::vector<uint64_t>& TlsMaskBuf(size_t limbs) {
+  thread_local std::vector<uint64_t> buf;
   if (buf.size() < limbs) buf.resize(limbs);
   return buf;
-}
-
-// 1 if x == y else 0, branchless (for the constant-time comb select).
-uint64_t CtEq(uint64_t x, uint64_t y) {
-  uint64_t d = x ^ y;
-  return 1 ^ ((d | (0 - d)) >> 63);
 }
 
 // L_n(x) = (x - 1) / n. Pre: x == 1 mod n.
@@ -60,11 +53,7 @@ BigInt LFunction(const BigInt& x, const BigInt& n) {
 }  // namespace
 
 PaillierPublicKey::PaillierPublicKey(BigInt n)
-    : n_(std::move(n)), n_squared_(n_.Mul(n_)) {
-  if (!n_.IsZero() && n_squared_.IsOdd() && n_squared_.limb_count() >= 1) {
-    n2_ctx_ = MakeCtx(n_squared_);
-  }
-}
+    : n_(std::move(n)), n_squared_(n_.Mul(n_)), n2_ctx_(MakeCtx(n_squared_)) {}
 
 BigInt PaillierPublicKey::GToM(const BigInt& m_reduced) const {
   // g = N + 1: g^m = 1 + m*N mod N^2, and for m < N the integer 1 + m*N
@@ -74,8 +63,9 @@ BigInt PaillierPublicKey::GToM(const BigInt& m_reduced) const {
 
 Result<PaillierCiphertext> PaillierPublicKey::Encrypt(
     const BigInt& m, SecureRandom* rng) const {
-  if (n_.IsZero()) {
-    return Status::FailedPrecondition("Paillier public key not initialized");
+  if (n2_ctx_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Paillier public key has no Montgomery context (N must be odd, > 1)");
   }
   if (m >= n_) {
     return Status::InvalidArgument("Paillier plaintext >= N");
@@ -91,9 +81,8 @@ Result<PaillierCiphertext> PaillierPublicKey::Encrypt(
   // N^2 (>= Karatsuba threshold) — there the short 1 + m*N operand of a
   // share-sized plaintext makes the subquadratic multiply beat a
   // fixed-width CIOS pass — and cached Montgomery below it.
-  BigInt r_to_n = n2_ctx_ != nullptr ? n2_ctx_->ModExp(r, n_)
-                                     : r.ModExp(n_, n_squared_);
-  return PaillierCiphertext{GToM(m).ModMul(r_to_n, n_squared_)};
+  return PaillierCiphertext{
+      GToM(m).ModMul(n2_ctx_->ModExp(r, n_), n_squared_)};
 }
 
 Result<PaillierCiphertext> PaillierPublicKey::EncryptU64(
@@ -103,10 +92,8 @@ Result<PaillierCiphertext> PaillierPublicKey::EncryptU64(
 
 PaillierCiphertext PaillierPublicKey::Add(const PaillierCiphertext& a,
                                           const PaillierCiphertext& b) const {
-  if (n2_ctx_ != nullptr) {
-    return PaillierCiphertext{n2_ctx_->ModMul(a.value, b.value)};
-  }
-  return PaillierCiphertext{a.value.ModMul(b.value, n_squared_)};
+  assert(n2_ctx_ != nullptr);
+  return PaillierCiphertext{n2_ctx_->ModMul(a.value, b.value)};
 }
 
 PaillierCiphertext PaillierPublicKey::AddPlain(const PaillierCiphertext& c,
@@ -120,10 +107,8 @@ PaillierCiphertext PaillierPublicKey::AddPlain(const PaillierCiphertext& c,
 
 PaillierCiphertext PaillierPublicKey::ScalarMult(const PaillierCiphertext& c,
                                                  const BigInt& k) const {
-  if (n2_ctx_ != nullptr) {
-    return PaillierCiphertext{n2_ctx_->ModExp(c.value, k)};
-  }
-  return PaillierCiphertext{c.value.ModExp(k, n_squared_)};
+  assert(n2_ctx_ != nullptr);
+  return PaillierCiphertext{n2_ctx_->ModExp(c.value, k)};
 }
 
 PaillierCiphertext PaillierPublicKey::TrivialEncrypt(const BigInt& m) const {
@@ -475,180 +460,69 @@ Result<PaillierKeyPair> PaillierGenerateKeyPair(size_t modulus_bits,
 }
 
 RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, size_t size,
-                               SecureRandom* rng, Mode mode,
-                               unsigned short_exp_bits)
-    : pub_(&pub), mode_(mode) {
-  if (mode_ == Mode::kFixedBase && pub.n2_ctx() == nullptr) {
-    mode_ = Mode::kPairwise;  // uninitialized key; keep the legacy path
-  }
-  if (mode_ == Mode::kPairwise) {
-    assert(size >= 2);
-    const MontgomeryCtx* ctx = pub.n2_ctx();
-    std::unique_ptr<MontgomeryCtx::Scratch> scratch;
-    if (ctx != nullptr) {
-      pool_mont_.reserve(size);
-      scratch = std::make_unique<MontgomeryCtx::Scratch>(*ctx);
-    } else {
-      pool_.reserve(size);
-    }
-    for (size_t i = 0; i < size; ++i) {
-      auto enc_zero = pub.Encrypt(BigInt(), rng);
-      assert(enc_zero.ok());
-      if (ctx != nullptr) {
-        // Montgomery form only; the plain pool_ backs the no-context
-        // fallback exclusively.
-        std::vector<uint64_t> mont(ctx->limbs());
-        ctx->ToMontInto(enc_zero->value, mont.data(), scratch.get());
-        pool_mont_.push_back(std::move(mont));
-      } else {
-        pool_.push_back(std::move(enc_zero)->value);
-      }
-    }
-    return;
-  }
-
-  // kFixedBase: h = r0^N (one full-width Enc(0)), then radix-16 comb
-  // tables over the short exponent width.
-  short_exp_bits_ = ((short_exp_bits + 7) / 8) * 8;
-  if (short_exp_bits_ < 64) short_exp_bits_ = 64;
-  auto h = pub.Encrypt(BigInt(), rng);
-  assert(h.ok());
-  const MontgomeryCtx& ctx = *pub.n2_ctx();
-  const size_t n = ctx.limbs();
-  const size_t windows = (short_exp_bits_ + 3) / 4;
-  fb_table_.assign(windows * 15, std::vector<uint64_t>(n));
-  MontgomeryCtx::Scratch scratch(ctx);
-  std::vector<uint64_t> base(n);
-  ctx.ToMontInto(h->value, base.data(), &scratch);
-  for (size_t w = 0; w < windows; ++w) {
-    fb_table_[w * 15] = base;  // h^(1 * 16^w)
-    for (unsigned d = 2; d <= 15; ++d) {
-      ctx.MulInto(fb_table_[w * 15 + d - 2].data(), base.data(),
-                  fb_table_[w * 15 + d - 1].data(), &scratch);
-    }
-    if (w + 1 < windows) {
-      for (int s = 0; s < 4; ++s) {
-        ctx.SqrInto(base.data(), base.data(), &scratch);  // base^16
-      }
-    }
-  }
-}
-
-void RandomizerPool::FreshMaskMont(SecureRandom* rng, uint64_t* out,
-                                   MontgomeryCtx::Scratch* scratch) const {
-  assert(mode_ == Mode::kFixedBase);
-  // h^r for r uniform in [0, 2^short_exp_bits): one comb pass, no
-  // squarings (the tables absorb the radix shifts). The exponent is the
-  // mask's secret, so every window multiplies: the operand is selected
-  // branchlessly from {one_mont, table entries}, digit 0 contributing an
-  // identity multiply instead of the skip that used to leak the zero-
-  // digit count through timing. Values (and rng draws) are unchanged.
-  const MontgomeryCtx& ctx = *pub_->n2_ctx();
-  const size_t n = ctx.limbs();
-  const BigInt e =
-      BigInt::FromBytesBigEndian(rng->RandomBytes(short_exp_bits_ / 8));
-  std::copy(ctx.one_mont_limbs().begin(), ctx.one_mont_limbs().end(), out);
-  std::vector<uint64_t>& op = TlsMaskBuf(n, 1);
-  const size_t windows = (short_exp_bits_ + 3) / 4;
-  for (size_t w = 0; w < windows; ++w) {
-    const uint64_t digit = (e.limb(w / 16) >> (4 * (w % 16))) & 0xF;
-    std::fill_n(op.data(), n, 0);
-    for (uint64_t d = 0; d < 16; ++d) {
-      const uint64_t* src = d == 0 ? ctx.one_mont_limbs().data()
-                                   : fb_table_[w * 15 + d - 1].data();
-      const uint64_t msk = 0 - CtEq(d, digit);
-      for (size_t i = 0; i < n; ++i) op[i] |= src[i] & msk;
-    }
-    ctx.CtMulInto(out, op.data(), out, scratch);
+                               SecureRandom* rng)
+    : pub_(&pub) {
+  assert(size >= 2);
+  const MontgomeryCtx* ctx = pub.n2_ctx();
+  assert(ctx != nullptr);
+  MontgomeryCtx::Scratch scratch(*ctx);
+  pool_mont_.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    auto enc_zero = pub.Encrypt(BigInt(), rng);
+    assert(enc_zero.ok());
+    std::vector<uint64_t> mont(ctx->limbs());
+    ctx->ToMontInto(enc_zero->value, mont.data(), &scratch);
+    pool_mont_.push_back(std::move(mont));
   }
 }
 
 PaillierCiphertext RandomizerPool::Rerandomize(const PaillierCiphertext& c,
                                                SecureRandom* rng) const {
-  const MontgomeryCtx* ctx = pub_->n2_ctx();
-  if (ctx == nullptr) {
-    // No-context fallback (uninitialized key): legacy division path.
-    size_t i = rng->UniformU64(pool_.size());
-    size_t j = rng->UniformU64(pool_.size());
-    BigInt masked = c.value.ModMul(pool_[i], pub_->n_squared());
-    return PaillierCiphertext{masked.ModMul(pool_[j], pub_->n_squared())};
-  }
-  const size_t n = ctx->limbs();
-  MontgomeryCtx::Scratch& scratch = TlsScratch(*ctx);
+  const MontgomeryCtx& ctx = *pub_->n2_ctx();
+  const size_t n = ctx.limbs();
+  MontgomeryCtx::Scratch& scratch = TlsScratch(ctx);
+  // Montgomery-form masks: each multiply into the plain-domain
+  // ciphertext is a single fused CIOS pass, division- and
+  // conversion-free.
+  size_t i = rng->UniformU64(pool_mont_.size());
+  size_t j = rng->UniformU64(pool_mont_.size());
   std::vector<uint64_t> acc(n);  // becomes the returned BigInt's storage
-  if (mode_ == Mode::kPairwise) {
-    // Montgomery-form masks: each multiply into the plain-domain
-    // ciphertext is a single fused CIOS pass, division- and
-    // conversion-free.
-    size_t i = rng->UniformU64(pool_mont_.size());
-    size_t j = rng->UniformU64(pool_mont_.size());
-    for (size_t k = 0; k < n; ++k) acc[k] = c.value.limb(k);
-    ctx->MulInto(acc.data(), pool_mont_[i].data(), acc.data(), &scratch);
-    ctx->MulInto(acc.data(), pool_mont_[j].data(), acc.data(), &scratch);
-    return PaillierCiphertext{BigInt::FromLimbsLittleEndian(std::move(acc))};
-  }
-  std::vector<uint64_t>& mask = TlsMaskBuf(n);
-  FreshMaskMont(rng, mask.data(), &scratch);
   for (size_t k = 0; k < n; ++k) acc[k] = c.value.limb(k);
-  ctx->MulInto(acc.data(), mask.data(), acc.data(), &scratch);
+  ctx.MulInto(acc.data(), pool_mont_[i].data(), acc.data(), &scratch);
+  ctx.MulInto(acc.data(), pool_mont_[j].data(), acc.data(), &scratch);
   return PaillierCiphertext{BigInt::FromLimbsLittleEndian(std::move(acc))};
 }
 
 void RandomizerPool::RerandomizeMontInto(
     uint64_t* c_mont, SecureRandom* rng,
     MontgomeryCtx::Scratch* scratch) const {
-  const MontgomeryCtx* ctx = pub_->n2_ctx();
-  assert(ctx != nullptr);
-  const size_t n = ctx->limbs();
-  if (mode_ == Mode::kPairwise) {
-    // Same index draws as Rerandomize; MontMul of two Montgomery
-    // operands stays Montgomery, so the column never leaves the domain.
-    size_t i = rng->UniformU64(pool_mont_.size());
-    size_t j = rng->UniformU64(pool_mont_.size());
-    ctx->MulInto(c_mont, pool_mont_[i].data(), c_mont, scratch);
-    ctx->MulInto(c_mont, pool_mont_[j].data(), c_mont, scratch);
-    return;
-  }
-  std::vector<uint64_t>& mask = TlsMaskBuf(n);
-  FreshMaskMont(rng, mask.data(), scratch);
-  ctx->MulInto(c_mont, mask.data(), c_mont, scratch);
+  const MontgomeryCtx& ctx = *pub_->n2_ctx();
+  // Same index draws as Rerandomize; MontMul of two Montgomery operands
+  // stays Montgomery, so the column never leaves the domain.
+  size_t i = rng->UniformU64(pool_mont_.size());
+  size_t j = rng->UniformU64(pool_mont_.size());
+  ctx.MulInto(c_mont, pool_mont_[i].data(), c_mont, scratch);
+  ctx.MulInto(c_mont, pool_mont_[j].data(), c_mont, scratch);
 }
 
 void RandomizerPool::RerandomizeMontManyInto(
     size_t k, uint64_t* const* c_mont, SecureRandom* rng,
     MontgomeryCtx::Scratch* scratch) const {
-  const MontgomeryCtx* ctx = pub_->n2_ctx();
-  assert(ctx != nullptr);
-  const size_t n = ctx->limbs();
+  const MontgomeryCtx& ctx = *pub_->n2_ctx();
   constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
-  if (mode_ == Mode::kPairwise) {
-    const uint64_t* mi[kLanes];
-    const uint64_t* mj[kLanes];
-    for (size_t done = 0; done < k; done += kLanes) {
-      const size_t kb = std::min(kLanes, k - done);
-      // The scalar call draws (i, j) per ciphertext; drawing lane by
-      // lane keeps the rng sequence — and thus the column — bitwise
-      // identical to k scalar calls.
-      for (size_t l = 0; l < kb; ++l) {
-        mi[l] = pool_mont_[rng->UniformU64(pool_mont_.size())].data();
-        mj[l] = pool_mont_[rng->UniformU64(pool_mont_.size())].data();
-      }
-      ctx->MulManyInto(kb, c_mont + done, mi, c_mont + done, scratch);
-      ctx->MulManyInto(kb, c_mont + done, mj, c_mont + done, scratch);
-    }
-    return;
-  }
-  // kFixedBase: lane-distinct comb masks (sequential draws), one batch
-  // multiply per lane block.
-  std::vector<uint64_t>& masks = TlsMaskBuf(kLanes * n);
-  const uint64_t* mp[kLanes];
+  const uint64_t* mi[kLanes];
+  const uint64_t* mj[kLanes];
   for (size_t done = 0; done < k; done += kLanes) {
     const size_t kb = std::min(kLanes, k - done);
+    // The scalar call draws (i, j) per ciphertext; drawing lane by lane
+    // keeps the rng sequence — and thus the column — bitwise identical
+    // to k scalar calls.
     for (size_t l = 0; l < kb; ++l) {
-      FreshMaskMont(rng, masks.data() + l * n, scratch);
-      mp[l] = masks.data() + l * n;
+      mi[l] = pool_mont_[rng->UniformU64(pool_mont_.size())].data();
+      mj[l] = pool_mont_[rng->UniformU64(pool_mont_.size())].data();
     }
-    ctx->MulManyInto(kb, c_mont + done, mp, c_mont + done, scratch);
+    ctx.MulManyInto(kb, c_mont + done, mi, c_mont + done, scratch);
+    ctx.MulManyInto(kb, c_mont + done, mj, c_mont + done, scratch);
   }
 }
 

@@ -1,12 +1,12 @@
 // Paillier additively homomorphic encryption.
 //
 // PEOS needs an AHE scheme whose decrypted sums, reduced mod 2^ell, equal
-// the Z_{2^ell} secret-shared sums (the paper instantiates DGK with
-// Pohlig-Hellman full decryption for a Z_{2^ell} plaintext space; see
-// DESIGN.md §4 for why Paillier-with-final-mod-2^ell is an exact behavioural
-// substitute: every share is an ell-bit value, the number of summands k
-// satisfies k * 2^ell << N, so the decrypted integer is the true sum over Z
-// and its residue mod 2^ell is the shared value).
+// the Z_{2^ell} secret-shared sums. The paper instantiates DGK with
+// Pohlig-Hellman full decryption for a Z_{2^ell} plaintext space;
+// Paillier-with-final-mod-2^ell is an exact behavioural substitute: every
+// share is an ell-bit value, the number of summands k satisfies
+// k * 2^ell << N, so the decrypted integer is the true sum over Z and its
+// residue mod 2^ell is the shared value.
 //
 // Implementation notes:
 //  * g = N + 1, so Enc(m; r) = (1 + m*N) * r^N mod N^2 — one modexp.
@@ -15,26 +15,20 @@
 //    cross-checks).
 //  * Both keys pin Montgomery contexts for their moduli (N^2 on the
 //    public key, p^2/q^2 on the private key), so every Encrypt / Decrypt
-//    / Add / ScalarMult runs division-free on precomputed contexts.
+//    / Add / ScalarMult runs division-free on precomputed contexts. A
+//    public key without a context (N even or < 3) cannot encrypt:
+//    Encrypt answers FailedPrecondition, and the other operations
+//    require a context.
 //  * DecryptPackedMod2Ell packs many small plaintexts into one Paillier
 //    plaintext (Horner in the Montgomery domain: w squarings + 1 multiply
 //    per ciphertext) and amortizes the two CRT modexps of a full
-//    decryption over the whole group — the PEOS server-side fast path.
-//  * A RandomizerPool can amortize the r^N modexp for simulation-scale
-//    benchmarks. Two modes (documented tradeoffs; full-strength
-//    PaillierPublicKey::Encrypt is the default everywhere except the
-//    Table III bench):
-//      - kPairwise (DESIGN.md §4 item 5): masks are products of two
-//        pooled Enc(0) values — pool_size^2 distinct masks only, a
-//        simulation shortcut with no formal rerandomization guarantee.
-//      - kFixedBase: DJN-style randomizers h^r for h = r0^N and a short
-//        uniform exponent r of 2*lambda bits evaluated from fixed-base
-//        comb tables (the P256Precomputed pattern). Fresh masks per call;
-//        security rests on the standard Damgård-Jurik-Nielsen short-
-//        exponent indistinguishability assumption (h^r for r ~ U[0, 2^t)
-//        vs a uniform N-th residue, t = 2*lambda), which is *stronger*
-//        than the DCR assumption plain Paillier needs — hence full-width
-//        r^N stays the default and kFixedBase is opt-in.
+//    decryption over the whole group — the PEOS server-side path.
+//  * A RandomizerPool amortizes the r^N modexp: masks are products of
+//    two pooled Enc(0) values — pool_size^2 distinct masks only, a
+//    simulation shortcut with no formal rerandomization guarantee. PEOS
+//    and ShuffleDpCollector use it by default (`use_randomizer_pool =
+//    true`); setting that to false makes every encryption and re-mask a
+//    fresh full-width PaillierPublicKey::Encrypt.
 
 #ifndef SHUFFLEDP_CRYPTO_PAILLIER_H_
 #define SHUFFLEDP_CRYPTO_PAILLIER_H_
@@ -65,19 +59,22 @@ class PaillierPublicKey {
   const BigInt& n() const { return n_; }
   const BigInt& n_squared() const { return n_squared_; }
 
-  /// Montgomery context for N^2 (null until constructed with an odd N).
+  /// Montgomery context for N^2 (null unless constructed with an odd
+  /// N > 1).
   const MontgomeryCtx* n2_ctx() const { return n2_ctx_.get(); }
 
   /// Ciphertext wire size in bytes (= 2 * |N| rounded up).
   size_t CiphertextBytes() const { return (n_squared_.BitLength() + 7) / 8; }
 
   /// Encrypts `m` (must be < N) with fresh randomness (one modexp).
+  /// FailedPrecondition when the key has no Montgomery context.
   Result<PaillierCiphertext> Encrypt(const BigInt& m, SecureRandom* rng) const;
 
   /// Encrypts a 64-bit share value.
   Result<PaillierCiphertext> EncryptU64(uint64_t m, SecureRandom* rng) const;
 
   /// Homomorphic addition: Enc(a) (+) Enc(b) = Enc(a + b mod N).
+  /// Pre (like ScalarMult): n2_ctx() != nullptr.
   PaillierCiphertext Add(const PaillierCiphertext& a,
                          const PaillierCiphertext& b) const;
 
@@ -100,7 +97,7 @@ class PaillierPublicKey {
   // Keeping the whole column in the Montgomery domain across all rounds
   // turns each round into pure fused CIOS passes — the only to/from-
   // Montgomery conversions are one per element at chain entry and exit.
-  // All three kernels require n2_ctx() != nullptr (any real key) and
+  // All these kernels require n2_ctx() != nullptr (any real key) and
   // limb buffers of exactly n2_ctx()->limbs() words.
 
   /// c -> Montgomery form (entry into the resident chain).
@@ -172,11 +169,11 @@ class PaillierPrivateKey {
   /// Pre: every plaintext is < 2^slot_bits. PEOS guarantees this by
   /// construction (shares are ell-bit values and each EOS round adds one
   /// more ell-bit mask adjustment, so slot_bits = ell +
-  /// ceil(log2(rounds + 1)) + 1 bounds the integer sum). Tradeoff vs
-  /// per-row decryption: a single adversarially oversized plaintext
-  /// corrupts its whole pack group instead of only its own row — callers
-  /// that must isolate hostile plaintexts row-by-row should keep
-  /// DecryptMod2Ell.
+  /// ceil(log2(rounds + 1)) + 1 bounds the integer sum). Threat bound:
+  /// one adversarially oversized plaintext corrupts at most the other
+  /// slots of its own pack group (PackedSlotCapacity(slot_bits) rows);
+  /// every row outside that group decrypts exactly. DecryptMod2Ell
+  /// isolates each row and serves as the per-row reference in tests.
   Status DecryptPackedMod2Ell(const PaillierCiphertext* cs, size_t count,
                               unsigned slot_bits, unsigned ell,
                               uint64_t* out) const;
@@ -221,29 +218,19 @@ struct PaillierKeyPair {
 Result<PaillierKeyPair> PaillierGenerateKeyPair(size_t modulus_bits,
                                                 SecureRandom* rng);
 
-/// Pool of precomputed Enc(0) randomizer material (see the header note on
-/// the kPairwise / kFixedBase tradeoff). This is a *documented simulation
-/// shortcut* for benchmark throughput; production deployments should use
-/// fresh full-width r^N per ciphertext (`PaillierPublicKey::Encrypt`).
+/// Pool of precomputed Enc(0) masks (see the header note): every
+/// Rerandomize multiplies two uniformly drawn pooled masks. A *documented
+/// simulation shortcut* for throughput; deployments that need a formal
+/// rerandomization guarantee use fresh full-width r^N per ciphertext
+/// (`PaillierPublicKey::Encrypt`).
 class RandomizerPool {
  public:
-  enum class Mode {
-    kPairwise,   ///< product of two pooled Enc(0) masks (legacy default)
-    kFixedBase,  ///< fresh DJN short-exponent fixed-base mask per call
-  };
-
-  /// kPairwise: precomputes `size` Enc(0) values (size >= 2).
-  /// kFixedBase: precomputes the comb tables for h = r0^N; `size` is
-  /// ignored. `short_exp_bits` is the fixed-base exponent width t = 2λ
-  /// (rounded up to a byte multiple; default 256 covers λ = 128).
+  /// Precomputes `size` Enc(0) values (size >= 2). Pre: the key has a
+  /// Montgomery context.
   RandomizerPool(const PaillierPublicKey& pub, size_t size,
-                 SecureRandom* rng, Mode mode = Mode::kPairwise,
-                 unsigned short_exp_bits = 256);
+                 SecureRandom* rng);
 
-  Mode mode() const { return mode_; }
-
-  /// Returns c multiplied by a fresh Enc(0) mask (two pooled masks in
-  /// kPairwise mode, one fixed-base mask in kFixedBase mode).
+  /// Returns c multiplied by two pooled Enc(0) masks.
   PaillierCiphertext Rerandomize(const PaillierCiphertext& c,
                                  SecureRandom* rng) const;
 
@@ -252,8 +239,7 @@ class RandomizerPool {
   /// rng draws, identical plaintext effect — but stays in the domain
   /// (masks are pooled in Montgomery form, so each application is one
   /// fused CIOS pass and the product of two Montgomery operands is again
-  /// a Montgomery operand). Pre: the key has a Montgomery context and
-  /// `c_mont` holds n2_ctx()->limbs() words.
+  /// a Montgomery operand). Pre: `c_mont` holds n2_ctx()->limbs() words.
   void RerandomizeMontInto(uint64_t* c_mont, SecureRandom* rng,
                            MontgomeryCtx::Scratch* scratch) const;
 
@@ -270,25 +256,12 @@ class RandomizerPool {
   PaillierCiphertext EncryptFastU64(uint64_t m, SecureRandom* rng) const;
 
  private:
-  // Writes the Montgomery form of a fresh comb-evaluated h^r mask into
-  // `out` (kFixedBase mode only).
-  void FreshMaskMont(SecureRandom* rng, uint64_t* out,
-                     MontgomeryCtx::Scratch* scratch) const;
-
   const PaillierPublicKey* pub_;
-  Mode mode_ = Mode::kPairwise;
 
-  // kPairwise masks, stored in Montgomery form so applying one is a
-  // single fused CIOS pass (multiplying a Montgomery-form mask into a
-  // plain-domain ciphertext yields the plain-domain product directly).
-  // `pool_` keeps the plain values for the no-context fallback.
+  // Masks in Montgomery form, so applying one is a single fused CIOS
+  // pass (multiplying a Montgomery-form mask into a plain-domain
+  // ciphertext yields the plain-domain product directly).
   std::vector<std::vector<uint64_t>> pool_mont_;
-  std::vector<BigInt> pool_;
-
-  // kFixedBase: radix-16 comb over h = r0^N in Montgomery form;
-  // fb_table_[15 * w + (d - 1)] = ToMont(h^(d * 16^w)), d in [1, 15].
-  unsigned short_exp_bits_ = 0;
-  std::vector<std::vector<uint64_t>> fb_table_;
 };
 
 }  // namespace crypto

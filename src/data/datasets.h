@@ -1,5 +1,5 @@
 // Synthetic dataset generators standing in for the paper's three real
-// datasets (offline substitution; DESIGN.md §4 item 1):
+// datasets (offline substitution: the real files are not bundled):
 //
 //   IPUMS   — US Census 1940, 1% sample, city attribute:
 //             n = 602,325 users, d = 915 cities.

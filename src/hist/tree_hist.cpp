@@ -191,10 +191,11 @@ Result<TreeHistResult> RunTreeHistExact(const std::vector<uint64_t>& values,
       reports.push_back(oracle->MakeFakeReport(rng));
     }
 
-    // Candidate support counts -> calibrated estimates (dummy dropped).
-    std::vector<uint64_t> eval(candidates.size());
-    for (size_t i = 0; i < eval.size(); ++i) eval[i] = i;
-    auto supports = ldp::SupportCounts(*oracle, reports, eval);
+    // Candidate support counts over [0, k) -> calibrated estimates (the
+    // dummy value k is dropped).
+    std::vector<uint64_t> supports(candidates.size(), 0);
+    ldp::AccumulateSupportCounts(*oracle, reports.data(), reports.size(), 0,
+                                 supports.size(), supports.data(), nullptr);
     auto estimates =
         ldp::CalibrateEstimates(*oracle, supports, n_round, fakes_per_round);
     frontier = SelectTopK(candidates, estimates, config.top_k, prefix_bits);

@@ -1,41 +1,9 @@
 #include "ldp/estimator.h"
 
-#include <atomic>
 #include <cassert>
 
 namespace shuffledp {
 namespace ldp {
-
-std::vector<uint64_t> SupportCounts(const ScalarFrequencyOracle& oracle,
-                                    const std::vector<LdpReport>& reports,
-                                    const std::vector<uint64_t>& eval_values,
-                                    ThreadPool* pool) {
-  std::vector<uint64_t> counts(eval_values.size(), 0);
-  if (pool == nullptr || reports.size() < 4096) {
-    for (size_t j = 0; j < eval_values.size(); ++j) {
-      counts[j] =
-          oracle.SupportsMany(reports.data(), reports.size(), eval_values[j]);
-    }
-    return counts;
-  }
-  // Parallel: each task bulk-evaluates a disjoint slice of the report
-  // vector for every eval value, then merges under an atomic add.
-  std::vector<std::atomic<uint64_t>> shared(eval_values.size());
-  for (auto& c : shared) c.store(0, std::memory_order_relaxed);
-  pool->ParallelFor(0, reports.size(), [&](uint64_t lo, uint64_t hi) {
-    for (size_t j = 0; j < eval_values.size(); ++j) {
-      const uint64_t local =
-          oracle.SupportsMany(reports.data() + lo, hi - lo, eval_values[j]);
-      if (local != 0) {
-        shared[j].fetch_add(local, std::memory_order_relaxed);
-      }
-    }
-  });
-  for (size_t j = 0; j < counts.size(); ++j) {
-    counts[j] = shared[j].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
 
 void AccumulateSupportCounts(const ScalarFrequencyOracle& oracle,
                              const LdpReport* reports, size_t count,

@@ -24,13 +24,6 @@
 namespace shuffledp {
 namespace ldp {
 
-/// Support counts for each value in `eval_values` over `reports`
-/// (parallelized over reports when `pool` is non-null).
-std::vector<uint64_t> SupportCounts(const ScalarFrequencyOracle& oracle,
-                                    const std::vector<LdpReport>& reports,
-                                    const std::vector<uint64_t>& eval_values,
-                                    ThreadPool* pool = nullptr);
-
 /// The one support-aggregation path: for every v in [lo, hi) adds the
 /// number of `reports` supporting v to counts[v − lo] (accumulated, never
 /// assigned). With a pool the value range fans out into sub-ranges that

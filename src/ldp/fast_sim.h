@@ -1,4 +1,4 @@
-// Fast aggregate simulation for utility experiments (DESIGN.md §5).
+// Fast aggregate simulation for utility experiments.
 //
 // For utility benchmarks only the server-side aggregate matters, and for
 // every oracle in this library the per-value support count is a sum of

@@ -5,8 +5,8 @@
 // this library is serialized to real wire bytes and recorded in a
 // CostLedger; computation is measured with wall-clock scopes attributed to
 // the role doing the work. Because all protocol costs scale linearly in
-// the number of reports, the ledger can also extrapolate to the paper's
-// n = 10^6 (see DESIGN.md §4 item 4).
+// the number of reports, a run at small n extrapolates linearly to the
+// paper's n = 10^6.
 
 #ifndef SHUFFLEDP_SHUFFLE_COST_MODEL_H_
 #define SHUFFLEDP_SHUFFLE_COST_MODEL_H_

@@ -153,6 +153,10 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
   if (opts.public_key == nullptr) {
     return Status::InvalidArgument("EOS: missing Paillier public key");
   }
+  if (opts.public_key->n2_ctx() == nullptr) {
+    return Status::InvalidArgument(
+        "EOS: Paillier public key has no Montgomery context");
+  }
   ShareMatrix* shares = &state->plain;
   const uint32_t r = shares->num_shufflers();
   const uint64_t n = shares->num_secrets();
@@ -175,26 +179,24 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
   // vectors), and exits once after the loop. The per-round work becomes
   // pure fused CIOS passes; the old per-round generic ModMul (a full
   // division-path multiply per ciphertext) disappears. Bitwise identical
-  // to the plain-domain path: the same masks multiply mod N^2 and the
-  // same rng draws happen in the same order (paillier_test pins this).
-  // An uninitialized key (no context) keeps the legacy plain path.
-  const crypto::MontgomeryCtx* mont_ctx = pub.n2_ctx();
-  const size_t limbs = mont_ctx != nullptr ? mont_ctx->limbs() : 0;
-  std::vector<std::vector<uint64_t>> mont_column;
-  if (mont_ctx != nullptr) {
-    mont_column.assign(n, std::vector<uint64_t>(limbs));
-    auto enter = [&](uint64_t lo, uint64_t hi) {
-      crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
-      for (uint64_t i = lo; i < hi; ++i) {
-        pub.ToMontCiphertext(state->cipher_column[i],
-                             mont_column[i].data(), &scratch);
-      }
-    };
-    if (opts.thread_pool != nullptr) {
-      opts.thread_pool->ParallelFor(0, n, enter);
-    } else {
-      enter(0, n);
+  // to the plain-domain AddPlain + Rerandomize sequence: the same masks
+  // multiply mod N^2 and the same rng draws happen in the same order
+  // (paillier_test pins this).
+  const crypto::MontgomeryCtx& mont_ctx = *pub.n2_ctx();
+  const size_t limbs = mont_ctx.limbs();
+  std::vector<std::vector<uint64_t>> mont_column(n,
+                                                 std::vector<uint64_t>(limbs));
+  auto enter = [&](uint64_t lo, uint64_t hi) {
+    crypto::MontgomeryCtx::Scratch scratch(mont_ctx);
+    for (uint64_t i = lo; i < hi; ++i) {
+      pub.ToMontCiphertext(state->cipher_column[i], mont_column[i].data(),
+                           &scratch);
     }
+  };
+  if (opts.thread_pool != nullptr) {
+    opts.thread_pool->ParallelFor(0, n, enter);
+  } else {
+    enter(0, n);
   }
 
   for (const auto& hiders : AllSubsets(r, t)) {
@@ -243,61 +245,45 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
           ledger->RecordSend(Role::kShuffler, Role::kShuffler, n * 8);
         }
       }
-      // c'_i = c_i + (2^ell − mask_sum_i): the subtraction wraps to 0
-      // mod 2^ell after decryption (DESIGN.md §4 item 2).
+      // c'_i = c_i + (2^ell − mask_sum_i), with (2^ell − s) mod 2^ell
+      // taken by unsigned wrap-around: the EOS masks cancel mod 2^ell
+      // after decryption. The integer plaintext grows by < 2^ell per
+      // round, far below N, so the final mod-2^ell reduction is exact.
+      // AddPlain + re-mask never leave the Montgomery domain (3–4 fused
+      // CIOS passes per ciphertext).
       auto transform = [&](uint64_t lo, uint64_t hi,
                            crypto::SecureRandom* local) {
-        if (mont_ctx != nullptr) {
-          // Resident path: AddPlain + re-mask without ever leaving the
-          // Montgomery domain (3–4 fused CIOS passes per ciphertext).
-          crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
-          if (opts.pool != nullptr) {
-            // Lane-blocked: the AddPlain conversions/multiplies and the
-            // pool masks run through the interleaved batch kernels. The
-            // pool draws stay in scalar row order (lane l draws l-th),
-            // so the column is bitwise identical to the per-row loop.
-            constexpr size_t kLanes = crypto::MontgomeryCtx::kMaxBatchLanes;
-            uint64_t* rows[kLanes];
-            crypto::BigInt adjusts[kLanes];
-            for (uint64_t i = lo; i < hi; i += kLanes) {
-              const size_t kb =
-                  static_cast<size_t>(std::min<uint64_t>(kLanes, hi - i));
-              for (size_t l = 0; l < kb; ++l) {
-                rows[l] = mont_column[i + l].data();
-                adjusts[l] = crypto::BigInt((0 - mask_sum[i + l]) & mask);
-              }
-              pub.AddPlainMontManyInto(kb, rows, adjusts, &scratch);
-              opts.pool->RerandomizeMontManyInto(kb, rows, local, &scratch);
+        crypto::MontgomeryCtx::Scratch scratch(mont_ctx);
+        if (opts.pool != nullptr) {
+          // Lane-blocked: the AddPlain conversions/multiplies and the
+          // pool masks run through the interleaved batch kernels. The
+          // pool draws stay in scalar row order (lane l draws l-th), so
+          // the column is bitwise identical to the per-row loop.
+          constexpr size_t kLanes = crypto::MontgomeryCtx::kMaxBatchLanes;
+          uint64_t* rows[kLanes];
+          crypto::BigInt adjusts[kLanes];
+          for (uint64_t i = lo; i < hi; i += kLanes) {
+            const size_t kb =
+                static_cast<size_t>(std::min<uint64_t>(kLanes, hi - i));
+            for (size_t l = 0; l < kb; ++l) {
+              rows[l] = mont_column[i + l].data();
+              adjusts[l] = crypto::BigInt((0 - mask_sum[i + l]) & mask);
             }
-            return;
-          }
-          std::vector<uint64_t> fresh(limbs);
-          for (uint64_t i = lo; i < hi; ++i) {
-            uint64_t neg = (0 - mask_sum[i]) & mask;
-            pub.AddPlainMontInto(mont_column[i].data(),
-                                 crypto::BigInt(neg), &scratch);
-            auto enc_zero = pub.Encrypt(crypto::BigInt(), local);
-            assert(enc_zero.ok());
-            mont_ctx->ToMontInto(enc_zero->value, fresh.data(), &scratch);
-            mont_ctx->MulInto(mont_column[i].data(), fresh.data(),
-                              mont_column[i].data(), &scratch);
+            pub.AddPlainMontManyInto(kb, rows, adjusts, &scratch);
+            opts.pool->RerandomizeMontManyInto(kb, rows, local, &scratch);
           }
           return;
         }
+        std::vector<uint64_t> fresh(limbs);
         for (uint64_t i = lo; i < hi; ++i) {
-          // (2^ell − s) mod 2^ell via unsigned wrap-around; adding it to
-          // the ciphertext cancels the masks mod 2^ell after decryption.
           uint64_t neg = (0 - mask_sum[i]) & mask;
-          crypto::BigInt adjust(neg);
-          auto c = pub.AddPlain(state->cipher_column[i], adjust);
-          if (opts.pool != nullptr) {
-            c = opts.pool->Rerandomize(c, local);
-          } else {
-            auto enc_zero = pub.Encrypt(crypto::BigInt(), local);
-            assert(enc_zero.ok());
-            c = pub.Add(c, *enc_zero);
-          }
-          state->cipher_column[i] = std::move(c);
+          pub.AddPlainMontInto(mont_column[i].data(), crypto::BigInt(neg),
+                               &scratch);
+          auto enc_zero = pub.Encrypt(crypto::BigInt(), local);
+          assert(enc_zero.ok());
+          mont_ctx.ToMontInto(enc_zero->value, fresh.data(), &scratch);
+          mont_ctx.MulInto(mont_column[i].data(), fresh.data(),
+                           mont_column[i].data(), &scratch);
         }
       };
       if (opts.thread_pool != nullptr) {
@@ -329,11 +315,7 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
     for (uint32_t h : hiders) {
       ApplyPermutation(perm, &shares->columns[h]);
     }
-    if (mont_ctx != nullptr) {
-      ApplyPermutation(perm, &mont_column);  // resident limbs just move
-    } else {
-      ApplyPermutation(perm, &state->cipher_column);
-    }
+    ApplyPermutation(perm, &mont_column);  // resident limbs just move
 
     // 3. Hiders re-share plaintext columns back to all r shufflers.
     std::vector<std::vector<uint64_t>> next(r,
@@ -359,19 +341,17 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
 
   // Chain exit: one conversion per element, the only FromMont of the
   // whole shuffle.
-  if (mont_ctx != nullptr) {
-    auto leave = [&](uint64_t lo, uint64_t hi) {
-      crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
-      for (uint64_t i = lo; i < hi; ++i) {
-        state->cipher_column[i] =
-            pub.FromMontCiphertext(mont_column[i].data(), &scratch);
-      }
-    };
-    if (opts.thread_pool != nullptr) {
-      opts.thread_pool->ParallelFor(0, n, leave);
-    } else {
-      leave(0, n);
+  auto leave = [&](uint64_t lo, uint64_t hi) {
+    crypto::MontgomeryCtx::Scratch scratch(mont_ctx);
+    for (uint64_t i = lo; i < hi; ++i) {
+      state->cipher_column[i] =
+          pub.FromMontCiphertext(mont_column[i].data(), &scratch);
     }
+  };
+  if (opts.thread_pool != nullptr) {
+    opts.thread_pool->ParallelFor(0, n, leave);
+  } else {
+    leave(0, n);
   }
   return Status::OK();
 }

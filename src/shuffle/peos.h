@@ -46,20 +46,14 @@ struct PeosConfig {
   uint64_t fake_reports = 0;            ///< n_r (total, one share set each)
   unsigned ell = 64;                    ///< share group Z_{2^ell}
   size_t paillier_bits = 1024;          ///< server AHE modulus size
-  bool use_randomizer_pool = true;      ///< DESIGN.md §4 item 5
-  size_t randomizer_pool_size = 64;
-  /// Randomizer construction when use_randomizer_pool is set: the legacy
-  /// pairwise pool, or DJN short-exponent fixed-base masks (fresh mask
-  /// per ciphertext; see the tradeoff note in crypto/paillier.h).
-  crypto::RandomizerPool::Mode randomizer_mode =
-      crypto::RandomizerPool::Mode::kPairwise;
-  /// Server-side batched AHE decryption: pack a group of ciphertexts into
-  /// one Paillier plaintext (Montgomery-domain Horner) and amortize the
-  /// two CRT modexps over the group. Exact for every protocol-generated
-  /// ciphertext; an adversarially oversized plaintext would corrupt its
-  /// whole pack group instead of one row (crypto/paillier.h), so the
-  /// per-row path stays available.
-  bool packed_decryption = true;
+  // The server always decrypts packed: one CRT decryption per group of
+  // PackedSlotCapacity(PeosPackedSlotBits(ell, r)) rows. Threat bound: a
+  // hostile (oversized) plaintext corrupts at most its own post-EOS pack
+  // group; every row outside that group decrypts exactly.
+  /// Encrypt and re-mask with a 64-entry pairwise RandomizerPool (a
+  /// simulation shortcut, see crypto/paillier.h) instead of a fresh
+  /// full-width r^N modexp per ciphertext.
+  bool use_randomizer_pool = true;
   std::vector<PeosShufflerBehaviour> behaviours;  ///< default: honest
   uint64_t poison_target_packed = 0;    ///< payload for biased shares
   ThreadPool* pool = nullptr;
@@ -77,6 +71,14 @@ struct PeosResult {
   CostReport costs;
   service::StreamingStats streaming;  ///< server ingestion pipeline stats
 };
+
+/// Bits per slot of the server's packed decryption for share width `ell`
+/// and r shufflers: the encrypted share starts < 2^ell and every EOS
+/// round homomorphically adds one more ell-bit mask adjustment (the
+/// invariant EosRounds documents), so a row's integer plaintext is
+/// < (EosRounds(r) + 1) * 2^ell; each slot gets that headroom plus a
+/// safety bit.
+unsigned PeosPackedSlotBits(unsigned ell, uint32_t num_shufflers);
 
 /// Runs the full PEOS protocol over `values`.
 Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,

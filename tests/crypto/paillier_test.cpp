@@ -211,35 +211,6 @@ TEST_F(PaillierTest, CrtMatchesDirectDecryption) {
   EXPECT_EQ(crt->ToU64Saturating(), (12345u + 67890u) * 3u);
 }
 
-TEST_F(PaillierTest, FixedBaseRandomizerAgreesWithFullWidth) {
-  RandomizerPool pool(kp_->pub, 2, rng_, RandomizerPool::Mode::kFixedBase);
-  ASSERT_EQ(pool.mode(), RandomizerPool::Mode::kFixedBase);
-  for (uint64_t m : {0ULL, 1ULL, 424242ULL, 0xFFFFFFFFFFFFFFFFULL}) {
-    // Fixed-base fast encryption and full-width encryption must be
-    // plaintext-equivalent.
-    auto fast = pool.EncryptFastU64(m, rng_);
-    auto exact = kp_->pub.EncryptU64(m, rng_);
-    ASSERT_TRUE(exact.ok());
-    auto back_fast = kp_->priv.Decrypt(fast);
-    auto back_exact = kp_->priv.Decrypt(*exact);
-    ASSERT_TRUE(back_fast.ok() && back_exact.ok());
-    EXPECT_EQ(*back_fast, *back_exact);
-    EXPECT_NE(fast.value, exact->value);  // still randomized
-  }
-  // Fresh masks per call: fast encryptions of one plaintext differ.
-  auto f1 = pool.EncryptFastU64(7, rng_);
-  auto f2 = pool.EncryptFastU64(7, rng_);
-  EXPECT_NE(f1.value, f2.value);
-  // Rerandomize preserves the plaintext and changes the ciphertext.
-  auto c = kp_->pub.EncryptU64(31337, rng_);
-  ASSERT_TRUE(c.ok());
-  auto rr = pool.Rerandomize(*c, rng_);
-  EXPECT_NE(rr.value, c->value);
-  auto back = kp_->priv.Decrypt(rr);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->ToU64Saturating(), 31337u);
-}
-
 TEST_F(PaillierTest, PackedDecryptionMatchesPerRow) {
   SecureRandom data_rng(uint64_t{99});
   for (unsigned ell : {8u, 13u, 36u}) {
@@ -333,51 +304,47 @@ TEST_F(PaillierTest, PackedDecryptionRejectsBadLayouts) {
 // The Montgomery-resident rerandomize chain (the EOS ciphertext column)
 // against the per-round plain-domain path: identically seeded rngs must
 // yield bitwise-identical ciphertexts after every round of
-// AddPlain + Rerandomize, for both pool modes — the domain residency is
-// a representation change only, never a value change.
+// AddPlain + Rerandomize — the domain residency is a representation
+// change only, never a value change.
 TEST_F(PaillierTest, MontResidentRerandomizeChainMatchesPerRoundPath) {
   const MontgomeryCtx* ctx = kp_->pub.n2_ctx();
   ASSERT_NE(ctx, nullptr);
-  for (RandomizerPool::Mode mode :
-       {RandomizerPool::Mode::kPairwise, RandomizerPool::Mode::kFixedBase}) {
-    SecureRandom pool_rng(uint64_t{777});
-    RandomizerPool pool(kp_->pub, 8, &pool_rng, mode);
+  SecureRandom pool_rng(uint64_t{777});
+  RandomizerPool pool(kp_->pub, 8, &pool_rng);
 
-    auto start = kp_->pub.EncryptU64(123456789, rng_);
-    ASSERT_TRUE(start.ok());
+  auto start = kp_->pub.EncryptU64(123456789, rng_);
+  ASSERT_TRUE(start.ok());
 
-    // Plain-domain reference: the exact sequence the pre-resident EOS
-    // loop ran once per C(r, t) round.
-    const int kRounds = 12;
-    SecureRandom plain_rng(uint64_t{4242});
-    PaillierCiphertext plain = *start;
-    uint64_t sum = 123456789;
-    for (int round = 0; round < kRounds; ++round) {
-      const uint64_t adjust = 0x9E37 + static_cast<uint64_t>(round);
-      sum += adjust;
-      plain = kp_->pub.AddPlain(plain, BigInt(adjust));
-      plain = pool.Rerandomize(plain, &plain_rng);
-    }
-
-    // Montgomery-resident chain: enter once, stay, leave once.
-    SecureRandom mont_rng(uint64_t{4242});
-    MontgomeryCtx::Scratch scratch(*ctx);
-    std::vector<uint64_t> resident(ctx->limbs());
-    kp_->pub.ToMontCiphertext(*start, resident.data(), &scratch);
-    for (int round = 0; round < kRounds; ++round) {
-      const uint64_t adjust = 0x9E37 + static_cast<uint64_t>(round);
-      kp_->pub.AddPlainMontInto(resident.data(), BigInt(adjust), &scratch);
-      pool.RerandomizeMontInto(resident.data(), &mont_rng, &scratch);
-    }
-    PaillierCiphertext mont =
-        kp_->pub.FromMontCiphertext(resident.data(), &scratch);
-
-    EXPECT_EQ(mont.value, plain.value)
-        << "mode=" << static_cast<int>(mode);  // bitwise, not just Dec-equal
-    auto decrypted = kp_->priv.DecryptMod2Ell(mont, 64);
-    ASSERT_TRUE(decrypted.ok());
-    EXPECT_EQ(*decrypted, sum);
+  // Plain-domain reference: the exact sequence the pre-resident EOS
+  // loop ran once per C(r, t) round.
+  const int kRounds = 12;
+  SecureRandom plain_rng(uint64_t{4242});
+  PaillierCiphertext plain = *start;
+  uint64_t sum = 123456789;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t adjust = 0x9E37 + static_cast<uint64_t>(round);
+    sum += adjust;
+    plain = kp_->pub.AddPlain(plain, BigInt(adjust));
+    plain = pool.Rerandomize(plain, &plain_rng);
   }
+
+  // Montgomery-resident chain: enter once, stay, leave once.
+  SecureRandom mont_rng(uint64_t{4242});
+  MontgomeryCtx::Scratch scratch(*ctx);
+  std::vector<uint64_t> resident(ctx->limbs());
+  kp_->pub.ToMontCiphertext(*start, resident.data(), &scratch);
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t adjust = 0x9E37 + static_cast<uint64_t>(round);
+    kp_->pub.AddPlainMontInto(resident.data(), BigInt(adjust), &scratch);
+    pool.RerandomizeMontInto(resident.data(), &mont_rng, &scratch);
+  }
+  PaillierCiphertext mont =
+      kp_->pub.FromMontCiphertext(resident.data(), &scratch);
+
+  EXPECT_EQ(mont.value, plain.value);  // bitwise, not just Dec-equal
+  auto decrypted = kp_->priv.DecryptMod2Ell(mont, 64);
+  ASSERT_TRUE(decrypted.ok());
+  EXPECT_EQ(*decrypted, sum);
 }
 
 // Multi-group batched packed decryption against the one-group-at-a-time
@@ -427,43 +394,38 @@ TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
 
 // Lane-blocked rerandomization with an identically seeded rng must be
 // bitwise identical to k sequential RerandomizeMontInto calls (the batch
-// draws pool indices / masks in the same lane order), for both modes.
+// draws pool indices in the same lane order).
 TEST_F(PaillierTest, RerandomizeMontManyBitwiseEqualsScalarSeeded) {
   const MontgomeryCtx* ctx = kp_->pub.n2_ctx();
   ASSERT_NE(ctx, nullptr);
   const size_t n = ctx->limbs();
-  for (RandomizerPool::Mode mode :
-       {RandomizerPool::Mode::kPairwise, RandomizerPool::Mode::kFixedBase}) {
-    SecureRandom pool_rng(uint64_t{808});
-    RandomizerPool pool(kp_->pub, 8, &pool_rng, mode);
-    MontgomeryCtx::Scratch scratch(*ctx);
-    for (size_t k : {1u, 5u, 8u, 13u}) {
-      std::vector<std::vector<uint64_t>> batch(k), scalar(k);
-      for (size_t l = 0; l < k; ++l) {
-        auto c = kp_->pub.EncryptU64(1000 + l, rng_);
-        ASSERT_TRUE(c.ok());
-        batch[l].resize(n);
-        kp_->pub.ToMontCiphertext(*c, batch[l].data(), &scratch);
-        scalar[l] = batch[l];
-      }
-      SecureRandom rng_batch(uint64_t{31 + k});
-      SecureRandom rng_scalar(uint64_t{31 + k});
-      std::vector<uint64_t*> rows(k);
-      for (size_t l = 0; l < k; ++l) rows[l] = batch[l].data();
-      pool.RerandomizeMontManyInto(k, rows.data(), &rng_batch, &scratch);
-      for (size_t l = 0; l < k; ++l) {
-        pool.RerandomizeMontInto(scalar[l].data(), &rng_scalar, &scratch);
-      }
-      for (size_t l = 0; l < k; ++l) {
-        EXPECT_EQ(batch[l], scalar[l])
-            << "mode=" << static_cast<int>(mode) << " k=" << k
-            << " lane=" << l;
-        // Still decrypts to the original plaintext.
-        auto back = kp_->priv.Decrypt(
-            kp_->pub.FromMontCiphertext(batch[l].data(), &scratch));
-        ASSERT_TRUE(back.ok());
-        EXPECT_EQ(back->ToU64Saturating(), 1000 + l);
-      }
+  SecureRandom pool_rng(uint64_t{808});
+  RandomizerPool pool(kp_->pub, 8, &pool_rng);
+  MontgomeryCtx::Scratch scratch(*ctx);
+  for (size_t k : {1u, 5u, 8u, 13u}) {
+    std::vector<std::vector<uint64_t>> batch(k), scalar(k);
+    for (size_t l = 0; l < k; ++l) {
+      auto c = kp_->pub.EncryptU64(1000 + l, rng_);
+      ASSERT_TRUE(c.ok());
+      batch[l].resize(n);
+      kp_->pub.ToMontCiphertext(*c, batch[l].data(), &scratch);
+      scalar[l] = batch[l];
+    }
+    SecureRandom rng_batch(uint64_t{31 + k});
+    SecureRandom rng_scalar(uint64_t{31 + k});
+    std::vector<uint64_t*> rows(k);
+    for (size_t l = 0; l < k; ++l) rows[l] = batch[l].data();
+    pool.RerandomizeMontManyInto(k, rows.data(), &rng_batch, &scratch);
+    for (size_t l = 0; l < k; ++l) {
+      pool.RerandomizeMontInto(scalar[l].data(), &rng_scalar, &scratch);
+    }
+    for (size_t l = 0; l < k; ++l) {
+      EXPECT_EQ(batch[l], scalar[l]) << "k=" << k << " lane=" << l;
+      // Still decrypts to the original plaintext.
+      auto back = kp_->priv.Decrypt(
+          kp_->pub.FromMontCiphertext(batch[l].data(), &scratch));
+      ASSERT_TRUE(back.ok());
+      EXPECT_EQ(back->ToU64Saturating(), 1000 + l);
     }
   }
 }

@@ -33,9 +33,11 @@ TEST(SupportCountsTest, SubsetMatchesFullDomain) {
   std::vector<LdpReport> reports(n);
   for (uint64_t i = 0; i < n; ++i) reports[i] = grr.Encode(i % d, &rng);
   auto full = SupportCountsFullDomain(grr, reports);
-  auto subset = SupportCounts(grr, reports, {3, 7});
-  EXPECT_EQ(subset[0], full[3]);
-  EXPECT_EQ(subset[1], full[7]);
+  std::vector<uint64_t> subset(5, 0);  // values [3, 8)
+  AccumulateSupportCounts(grr, reports.data(), reports.size(), 3, 8,
+                          subset.data(), nullptr);
+  EXPECT_EQ(subset,
+            std::vector<uint64_t>(full.begin() + 3, full.begin() + 8));
 }
 
 TEST(SupportCountsTest, GrrSupportsSumToN) {
@@ -116,7 +118,9 @@ TEST(CalibrateTest, UnbiasedWithFakesGrr) {
     for (uint64_t i = 0; i < n_fake; ++i) {
       reports.push_back(grr.MakeFakeReport(&rng));
     }
-    auto supports = SupportCounts(grr, reports, {0});
+    std::vector<uint64_t> supports(1, 0);
+    AccumulateSupportCounts(grr, reports.data(), reports.size(), 0, 1,
+                            supports.data(), nullptr);
     est0.Add(CalibrateEstimates(grr, supports, n, n_fake)[0]);
   }
   EXPECT_NEAR(est0.mean(), 0.5, 6 * est0.stderr_mean());
@@ -136,7 +140,9 @@ TEST(CalibrateTest, UnbiasedWithFakesSolh) {
     for (uint64_t i = 0; i < n_fake; ++i) {
       reports.push_back(lh.MakeFakeReport(&rng));
     }
-    auto supports = SupportCounts(lh, reports, {0});
+    std::vector<uint64_t> supports(1, 0);
+    AccumulateSupportCounts(lh, reports.data(), reports.size(), 0, 1,
+                            supports.data(), nullptr);
     est0.Add(CalibrateEstimates(lh, supports, n, n_fake)[0]);
   }
   EXPECT_NEAR(est0.mean(), 0.5, 6 * est0.stderr_mean());

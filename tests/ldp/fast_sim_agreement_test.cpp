@@ -1,4 +1,4 @@
-// Validates the fast aggregate simulation (DESIGN.md §5) against the exact
+// Validates the fast aggregate simulation (ldp/fast_sim.h) against the exact
 // per-user pipeline: identical estimator mean and variance across a
 // parameter sweep.
 
@@ -56,7 +56,9 @@ TEST_P(FastSimAgreement, MeanAndVarianceMatchExactPipeline) {
     for (uint64_t i = 0; i < param.n_fake; ++i) {
       reports.push_back(oracle->MakeFakeReport(&rng_exact));
     }
-    auto supports = SupportCounts(*oracle, reports, {0});
+    std::vector<uint64_t> supports(1, 0);
+    AccumulateSupportCounts(*oracle, reports.data(), reports.size(), 0, 1,
+                            supports.data(), nullptr);
     exact_est.Add(CalibrateEstimates(*oracle, supports, n, param.n_fake)[0]);
 
     // Fast simulation.

@@ -124,7 +124,9 @@ TEST(LocalHashTest, EstimationUnbiasedWithPredictedVariance) {
   for (int t = 0; t < kTrials; ++t) {
     std::vector<LdpReport> reports(n);
     for (uint64_t i = 0; i < n; ++i) reports[i] = lh.Encode(values[i], &rng);
-    auto supports = SupportCounts(lh, reports, {0}, nullptr);
+    std::vector<uint64_t> supports(1, 0);
+    AccumulateSupportCounts(lh, reports.data(), reports.size(), 0, 1,
+                            supports.data(), nullptr);
     auto f = CalibrateEstimates(lh, supports, n, 0);
     est0.Add(f[0]);
   }
