@@ -1,5 +1,6 @@
-// Shared helpers for the reproduction benchmarks: tiny flag parsing and
-// table printing so every bench binary reads the same way.
+// Shared helpers for the reproduction benchmarks: tiny flag parsing,
+// table printing and the host fingerprint, so every bench binary reads
+// the same way.
 
 #ifndef SHUFFLEDP_BENCH_BENCH_UTIL_H_
 #define SHUFFLEDP_BENCH_BENCH_UTIL_H_
@@ -8,8 +9,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "ldp/support_kernels.h"
+#include "util/thread_pool.h"
+
+#ifndef SHUFFLEDP_BUILD_TYPE
+#define SHUFFLEDP_BUILD_TYPE "unknown"
+#endif
 
 namespace shuffledp {
 namespace bench {
@@ -72,6 +82,35 @@ inline void PrintHeader(const std::string& label,
   std::printf("%-10s", label.c_str());
   for (const auto& c : cols) std::printf(" %*s", width, c.c_str());
   std::printf("\n");
+}
+
+/// JSON object naming the host a bench row was measured on: core count,
+/// CPU model, support-kernel backend, process-pool size and build type.
+/// Rows from different hosts are not comparable; this says which is which.
+inline std::string HostFingerprintJson() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu_model = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  for (char& c : cpu_model) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cores\": %u, \"cpu_model\": \"%s\", "
+                "\"support_backend\": \"%s\", \"pool_threads\": %u, "
+                "\"build_type\": \"%s\"}",
+                std::thread::hardware_concurrency(), cpu_model.c_str(),
+                ldp::SupportBackendName(ldp::ActiveSupportBackend()),
+                GlobalThreadPool().num_threads(), SHUFFLEDP_BUILD_TYPE);
+  return buf;
 }
 
 }  // namespace bench

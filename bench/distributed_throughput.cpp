@@ -12,13 +12,16 @@
 //        |  kWatermark flush barrier (all batches in the queues)
 //   coordinator --kFinish--> every endpoint, merge + calibrate
 //
-// Endpoint consumers run serial (no pool): the per-endpoint consumer
-// thread is precisely the bottleneck domain partitioning removes, so
-// rows/s should scale with P until parse/socket overhead dominates.
-// The scaling is real parallelism across consumer threads — on a host
-// with fewer cores than endpoints the fleet time-shares and the curve
-// flattens, which is why the JSON records "cores" next to the rows.
-// Rows land in BENCH_distributed.json via run_benches.sh.
+// Endpoints run with their default pool, the process pool
+// (GlobalThreadPool(), sized by SHUFFLEDP_THREADS), which all P endpoints
+// share: support evaluation splits each batch's value range across the
+// cores already at P = 1, and more partitions add consumer threads for
+// the serial per-batch work (ordinal unpack, validation, WAL deltas).
+// Every throughput row is the median wall time of kFleetRepeats runs,
+// and the JSON's "host" object (cores, CPU, support backend, pool size,
+// build type) says where the rows were measured: rows from different
+// hosts are not comparable. Rows land in BENCH_distributed.json via
+// run_benches.sh.
 //
 // A round-close latency section (healthy vs one slowed endpoint), a
 // durable-store recovery section (restart → round resumed, see
@@ -98,10 +101,13 @@ std::vector<std::vector<uint64_t>> EncodeBatches(
   return batches;
 }
 
-Result<Row> RunFleet(const ldp::ScalarFrequencyOracle& oracle,
-                     service::PartitionMode mode, uint32_t partitions,
-                     const std::vector<std::vector<uint64_t>>& batches,
-                     uint64_t n, size_t batch_size) {
+// Fleet runs per throughput row; the row keeps the median wall time.
+constexpr int kFleetRepeats = 3;
+
+Result<Row> RunFleetOnce(const ldp::ScalarFrequencyOracle& oracle,
+                         service::PartitionMode mode, uint32_t partitions,
+                         const std::vector<std::vector<uint64_t>>& batches,
+                         uint64_t n, size_t batch_size) {
   SHUFFLEDP_ASSIGN_OR_RETURN(
       service::PartitionMap map,
       service::PartitionMap::Create(oracle, mode, partitions));
@@ -182,6 +188,23 @@ Result<Row> RunFleet(const ldp::ScalarFrequencyOracle& oracle,
     return Status::Internal("distributed bench lost rows");
   }
   return row;
+}
+
+Result<Row> RunFleet(const ldp::ScalarFrequencyOracle& oracle,
+                     service::PartitionMode mode, uint32_t partitions,
+                     const std::vector<std::vector<uint64_t>>& batches,
+                     uint64_t n, size_t batch_size) {
+  std::vector<Row> runs;
+  for (int r = 0; r < kFleetRepeats; ++r) {
+    SHUFFLEDP_ASSIGN_OR_RETURN(
+        Row row,
+        RunFleetOnce(oracle, mode, partitions, batches, n, batch_size));
+    runs.push_back(row);
+  }
+  std::sort(runs.begin(), runs.end(), [](const Row& a, const Row& b) {
+    return a.wall_s < b.wall_s;
+  });
+  return runs[runs.size() / 2];
 }
 
 struct CloseRow {
@@ -629,8 +652,8 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows,
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"bench\": \"distributed_throughput\",\n");
-  std::fprintf(f, "  \"cores\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"host\": %s,\n", bench::HostFingerprintJson().c_str());
+  std::fprintf(f, "  \"repeats\": %d,\n", kFleetRepeats);
   std::fprintf(f, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

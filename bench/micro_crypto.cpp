@@ -15,6 +15,7 @@
 #include "ldp/grr.h"
 #include "ldp/hadamard.h"
 #include "ldp/local_hash.h"
+#include "shuffle/peos.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -165,9 +166,10 @@ BENCHMARK(BM_Paillier_HomomorphicAdd);
 
 void BM_Paillier_DecryptPacked(benchmark::State& state) {
   // Packed share recovery at the PEOS Table-III layout (SOLH d'=16:
-  // ell = 36, r = 3: slot = 39); per-row cost = time / items.
+  // ell = 36, r = 3); per-row cost = time / items.
   auto& f = Paillier();
-  const unsigned ell = 36, slot_bits = 39;
+  const unsigned ell = 36;
+  const unsigned slot_bits = shuffle::PeosPackedSlotBits(ell, 3);
   const uint64_t mask = (uint64_t{1} << ell) - 1;
   const size_t count = f.kp.priv.PackedSlotCapacity(slot_bits);
   std::vector<PaillierCiphertext> cs(count);
@@ -380,7 +382,8 @@ void BM_Paillier_DecryptPackedBatch(benchmark::State& state) {
   // at the Table-III layout; per-row cost = time / items, divide
   // against BM_Paillier_DecryptPacked for the interleave win.
   auto& f = Paillier();
-  const unsigned ell = 36, slot_bits = 39;
+  const unsigned ell = 36;
+  const unsigned slot_bits = shuffle::PeosPackedSlotBits(ell, 3);
   const uint64_t mask = (uint64_t{1} << ell) - 1;
   const size_t cap = f.kp.priv.PackedSlotCapacity(slot_bits);
   const size_t count = cap * MontgomeryCtx::kMaxBatchLanes;

@@ -11,8 +11,10 @@ void AccumulateSupportCounts(const ScalarFrequencyOracle& oracle,
                              ThreadPool* pool) {
   if (count == 0) return;
   // Equality oracles (GRR) histogram the whole batch whatever the range
-  // width, so a value-range fan-out would multiply that walk.
-  if (pool == nullptr || hi - lo < 2 || oracle.SupportIsValueEquality()) {
+  // width, so a value-range fan-out would multiply that walk. A
+  // one-worker pool would only hand the same serial walk to its thread.
+  if (pool == nullptr || pool->num_threads() < 2 || hi - lo < 2 ||
+      oracle.SupportIsValueEquality()) {
     oracle.AccumulateSupports(reports, count, lo, hi, counts);
     return;
   }

@@ -26,8 +26,9 @@ namespace ldp {
 
 /// The one support-aggregation path: for every v in [lo, hi) adds the
 /// number of `reports` supporting v to counts[v − lo] (accumulated, never
-/// assigned). With a pool the value range fans out into sub-ranges that
-/// write disjoint slots, so the counts are identical for any pool size.
+/// assigned). With a pool of two or more workers the value range fans
+/// out into sub-ranges that write disjoint slots, so the counts are
+/// identical for any pool size; a one-worker pool runs serially.
 /// Pre: lo <= hi <= domain_size.
 void AccumulateSupportCounts(const ScalarFrequencyOracle& oracle,
                              const LdpReport* reports, size_t count,

@@ -42,6 +42,13 @@ ReportBatch MakePlainBatch(std::vector<ldp::LdpReport> reports) {
   return batch;
 }
 
+ReportBatch MakeOrdinalBatch(std::vector<uint64_t> ordinals) {
+  ReportBatch batch;
+  batch.count = ordinals.size();
+  batch.ordinals = std::move(ordinals);
+  return batch;
+}
+
 RoundResult FinalizeRoundResult(const ldp::ScalarFrequencyOracle& oracle,
                                 std::vector<uint64_t> supports,
                                 uint64_t n, uint64_t n_fake,
@@ -402,27 +409,36 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   }
 
   std::vector<DecodedRow> rows(batch.count);
-  std::mutex status_mu;
-  Status decode_status = Status::OK();
-  std::atomic<bool> failed{false};
-  ForChunks(options_.pool, 0, batch.count, options_.decode_chunk,
-            [&](uint64_t lo, uint64_t hi) {
-              for (uint64_t i = lo; i < hi; ++i) {
-                // Stop burning crypto on rows whose batch already failed.
-                if (failed.load(std::memory_order_relaxed)) return;
-                auto row = batch.decode(i);
-                if (!row.ok()) {
-                  failed.store(true, std::memory_order_relaxed);
-                  std::lock_guard<std::mutex> lock(status_mu);
-                  if (decode_status.ok()) decode_status = row.status();
-                  return;
+  if (!batch.decode) {
+    for (uint64_t i = 0; i < batch.count; ++i) {
+      auto rep = oracle_.UnpackOrdinal(batch.ordinals[i]);
+      if (!rep.ok()) continue;  // padding ordinal: dropped as invalid
+      rows[i].report = *rep;
+      rows[i].valid = true;
+    }
+  } else {
+    std::mutex status_mu;
+    Status decode_status = Status::OK();
+    std::atomic<bool> failed{false};
+    ForChunks(options_.pool, 0, batch.count, options_.decode_chunk,
+              [&](uint64_t lo, uint64_t hi) {
+                for (uint64_t i = lo; i < hi; ++i) {
+                  // Stop burning crypto on rows whose batch already failed.
+                  if (failed.load(std::memory_order_relaxed)) return;
+                  auto row = batch.decode(i);
+                  if (!row.ok()) {
+                    failed.store(true, std::memory_order_relaxed);
+                    std::lock_guard<std::mutex> lock(status_mu);
+                    if (decode_status.ok()) decode_status = row.status();
+                    return;
+                  }
+                  rows[i] = std::move(row).value();
                 }
-                rows[i] = std::move(row).value();
-              }
-            });
-  if (!decode_status.ok()) {
-    FailRound(decode_status);
-    return;
+              });
+    if (!decode_status.ok()) {
+      FailRound(decode_status);
+      return;
+    }
   }
 
   const bool persist = store_ != nullptr && !durability_degraded_;

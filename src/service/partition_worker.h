@@ -107,10 +107,18 @@ struct ReportBatch {
   /// failure.
   std::function<Status(ThreadPool* pool)> prepare;
   std::function<Result<DecodedRow>(uint64_t i)> decode;
+  /// Packed report ordinals (oracle.PackOrdinal), one per row, read only
+  /// when `decode` is empty (build with MakeOrdinalBatch). The consumer
+  /// unpacks them itself: a few ns per row is less than a pool handoff
+  /// costs. Ordinals in the padding region drop as invalid rows.
+  std::vector<uint64_t> ordinals;
 };
 
 /// Builds a decode-free batch from already-decoded reports.
 ReportBatch MakePlainBatch(std::vector<ldp::LdpReport> reports);
+
+/// Builds a batch of packed ordinals (the wire and PEOS report format).
+ReportBatch MakeOrdinalBatch(std::vector<uint64_t> ordinals);
 
 /// Which estimator calibration the round close applies. Partition
 /// workers behind a coordinator use kNone: raw supports cross to the
@@ -126,7 +134,9 @@ struct StreamingOptions {
   size_t batch_size = 4096;     ///< reports per batch (producer helpers)
   size_t queue_capacity = 64;   ///< buffered batches before backpressure
   uint64_t decode_chunk = 512;  ///< reports per decode task
-  ThreadPool* pool = nullptr;   ///< decode/count fan-out; null = serial
+  /// Decode/count fan-out and close-time finalize; null = serial here.
+  /// CollectionServer::Start replaces null with GlobalThreadPool().
+  ThreadPool* pool = nullptr;
   /// The domain slice this worker owns (default: full domain, 1-of-1).
   PartitionSlice partition;
   /// Durable round store (round_store.h): `round_store.dir` non-empty

@@ -22,6 +22,7 @@
 #include "service/fault_injection.h"
 #include "service/retry.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace service {
@@ -1065,6 +1066,10 @@ Result<std::unique_ptr<CollectionServer>> CollectionServer::Start(
                        streaming.partition.Resolved(oracle.domain_size())));
   }
   server->store_ = streaming.store;
+  // No pool means the process pool, as in ShuffleDpCollector: every
+  // endpoint in the process shares its workers, so support evaluation
+  // spreads over the cores without oversubscribing them.
+  if (streaming.pool == nullptr) streaming.pool = &GlobalThreadPool();
   server->collector_ = std::make_unique<PartitionWorker>(oracle, streaming);
 
   // Crash recovery before the first byte of traffic: every stored round
@@ -1474,19 +1479,7 @@ Status CollectionServer::EventLoop::HandleFrameEvent(Conn* c, Frame frame) {
           ldp::ParseOrdinalsValidated(server_->oracle_, ordinal_bytes,
                                       ordinal_len,
                                       server_->ordinal_owner_check_));
-      auto ordinals =
-          std::make_shared<std::vector<uint64_t>>(std::move(parsed));
-      ReportBatch batch;
-      batch.count = ordinals->size();
-      const ldp::ScalarFrequencyOracle* oracle = &server_->oracle_;
-      batch.decode = [ordinals, oracle](uint64_t i) -> Result<DecodedRow> {
-        DecodedRow row;
-        auto rep = oracle->UnpackOrdinal((*ordinals)[i]);
-        if (!rep.ok()) return row;  // padding ordinal: drop, don't abort
-        row.report = *rep;
-        row.valid = true;
-        return row;
-      };
+      ReportBatch batch = MakeOrdinalBatch(std::move(parsed));
       // Round check, index gate, and Offer are one atomic step under
       // the ingest gate: checking first and offering later would let
       // another connection's kFinish slip its close sentinel in between

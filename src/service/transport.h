@@ -277,7 +277,10 @@ struct CollectionServerOptions {
   /// cleartext, so exposure beyond the host belongs behind the gRPC/TLS
   /// front end tracked in ROADMAP.md.
   uint16_t port = 0;
-  /// Ingestion pipeline knobs, including round-store persistence.
+  /// Ingestion pipeline knobs, including round-store persistence. A
+  /// null `streaming.pool` means the process pool (GlobalThreadPool(),
+  /// sized by SHUFFLEDP_THREADS), shared with every other endpoint in the
+  /// process; set a pool to give this endpoint its own workers.
   StreamingOptions streaming;
   /// The partition layout this endpoint participates in and the slice it
   /// owns. Defaults to the single-node 1-of-1 layout (partition id 0),

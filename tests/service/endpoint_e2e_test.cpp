@@ -7,18 +7,22 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
+#include "ldp/local_hash.h"
 #include "service/round_store.h"
 #include "service/transport.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace service {
@@ -545,6 +549,138 @@ bool ShutdownWithin(std::unique_ptr<CollectionServer> server,
   if (finished.wait_for(deadline) != std::future_status::ready) return false;
   delete raw;
   return true;
+}
+
+// SOLH batches at d' = 19: users' reports plus uniform Z_{2^B} fakes,
+// so every batch also carries padding ordinals that decode as invalid.
+std::vector<std::vector<uint64_t>> SolhBatches(const ldp::LocalHash& solh,
+                                               uint64_t n, uint64_t n_fake,
+                                               size_t batch_size) {
+  Rng rng(0x501F);
+  std::vector<uint64_t> ordinals;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t v = rng.Bernoulli(0.2) ? 3 : rng.UniformU64(
+                                                    solh.domain_size());
+    ordinals.push_back(solh.PackOrdinal(solh.Encode(v, &rng)));
+  }
+  for (uint64_t i = 0; i < n_fake; ++i) {
+    ordinals.push_back(rng.UniformU64(uint64_t{1} << solh.PackedBits()));
+  }
+  for (uint64_t i = ordinals.size(); i > 1; --i) {
+    std::swap(ordinals[i - 1], ordinals[rng.UniformU64(i)]);
+  }
+  std::vector<std::vector<uint64_t>> batches;
+  for (size_t lo = 0; lo < ordinals.size(); lo += batch_size) {
+    const size_t hi = std::min(ordinals.size(), lo + batch_size);
+    batches.emplace_back(ordinals.begin() + lo, ordinals.begin() + hi);
+  }
+  return batches;
+}
+
+// An endpoint started without a pool evaluates supports on the process
+// pool; one given a pool uses that. Neither may change a bit of the
+// round: supports and estimates equal the in-process serial collector's
+// whatever the pool (none, so the process pool; one worker, which runs
+// serially; three workers, which split the value range).
+TEST(EndpointE2e, PoolChoiceNeverChangesSolhResult) {
+  const ldp::LocalHash solh(4.0, 200, 19, "SOLH");
+  const uint64_t n = 30000, n_fake = 12000;
+  const auto batches = SolhBatches(solh, n, n_fake, 2048);
+
+  StreamingCollector reference(solh, StreamingOptions());
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(reference.Offer(MakeOrdinalBatch(batch)).ok());
+  }
+  auto want = reference.FinishRound(n, n_fake, Calibration::kOrdinal);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_GT(want->reports_invalid, 0u);  // padding ordinals were dropped
+
+  ThreadPool one(1), three(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &three}) {
+    const unsigned workers = pool == nullptr ? 0 : pool->num_threads();
+    CollectionServerOptions options;
+    options.streaming.pool = pool;
+    auto server = CollectionServer::Start(solh, options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    for (size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE((*client)->SendOrdinals(0, b, solh, batches[b]).ok());
+    }
+    auto got = (*client)->FinishRound(0, n, n_fake, Calibration::kOrdinal);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->supports, want->supports) << "pool workers=" << workers;
+    EXPECT_EQ(got->estimates, want->estimates)  // bitwise (exact ==)
+        << "pool workers=" << workers;
+    EXPECT_EQ(got->reports_decoded, want->reports_decoded);
+    EXPECT_EQ(got->reports_invalid, want->reports_invalid);
+  }
+}
+
+// An endpoint started from inside a process-pool task defaults to the
+// very pool whose worker it runs on; its worker must notice and process
+// serially. One such endpoint per pool worker, all started before any
+// round runs, leaves no worker free: a worker that kept the pool would
+// wait forever for its support split and its close-time finalize task.
+// Every round completes and every endpoint shuts down within the
+// watchdog.
+TEST(EndpointE2e, EndpointsStartedOnEveryProcessPoolWorkerComplete) {
+  // Shared with the pool tasks, which outlive a failed test.
+  struct Shared {
+    ldp::LocalHash solh{4.0, 64, 19, "SOLH"};
+    unsigned workers = GlobalThreadPool().num_threads();
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned started = 0;
+  };
+  auto shared = std::make_shared<Shared>();
+  std::vector<std::future<Result<RemoteRoundResult>>> finished;
+  for (unsigned t = 0; t < shared->workers; ++t) {
+    auto done = std::make_shared<std::promise<Result<RemoteRoundResult>>>();
+    finished.push_back(done->get_future());
+    GlobalThreadPool().Submit([shared, done] {
+      auto run = [&]() -> Result<RemoteRoundResult> {
+        const ldp::LocalHash& solh = shared->solh;
+        SHUFFLEDP_ASSIGN_OR_RETURN(
+            auto server,
+            CollectionServer::Start(solh, CollectionServerOptions()));
+        {
+          std::unique_lock<std::mutex> lock(shared->mu);
+          ++shared->started;
+          shared->cv.notify_all();
+          if (!shared->cv.wait_for(lock, std::chrono::seconds(10), [&] {
+                return shared->started == shared->workers;
+              })) {
+            return Status::Internal("not every pool worker started");
+          }
+        }
+        SHUFFLEDP_ASSIGN_OR_RETURN(
+            auto client,
+            CollectorClient::Connect("127.0.0.1", server->port()));
+        Rng rng(77);
+        std::vector<uint64_t> ordinals;
+        for (int i = 0; i < 5000; ++i) {
+          ordinals.push_back(solh.PackOrdinal(solh.Encode(i % 64, &rng)));
+        }
+        SHUFFLEDP_RETURN_NOT_OK(client->SendOrdinals(0, solh, ordinals));
+        auto result = client->FinishRound(0, ordinals.size(), 0,
+                                          Calibration::kStandard);
+        client.reset();
+        server->Shutdown();
+        return result;
+      };
+      done->set_value(run());
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (unsigned t = 0; t < shared->workers; ++t) {
+    ASSERT_EQ(finished[t].wait_until(deadline), std::future_status::ready)
+        << "endpoint started on process-pool worker " << t << " hung";
+    Result<RemoteRoundResult> result = finished[t].get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->reports_decoded, 5000u);
+  }
 }
 
 // Shutdown right behind a kFinish reply races the stop request's wakeup

@@ -72,6 +72,46 @@ TEST(UniversalHashTest, PairwiseCollisionRate) {
   EXPECT_NEAR(rate, expected, 6 * sigma);
 }
 
+// The standard CRC-32 check value (zlib's crc32 of "123456789").
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// Bit-at-a-time oracle for the reflected polynomial: shares no table
+// with the implementation under test.
+uint32_t Crc32BitwiseReference(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320U & (0U - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+// Every length through several 8-byte blocks plus a ragged tail, at
+// every start alignment, matches the oracle; so does every split of one
+// buffer chained through `seed`.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> data(96);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; offset + len <= data.size(); ++len) {
+      EXPECT_EQ(Crc32(data.data() + offset, len),
+                Crc32BitwiseReference(data.data() + offset, len, 0))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+  const uint32_t whole = Crc32(data.data(), data.size());
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32(data.data(), split);
+    EXPECT_EQ(Crc32(data.data() + split, data.size() - split, head), whole)
+        << "split=" << split;
+  }
+}
+
 // Marginal uniformity: for a fixed value, the hash over random seeds is
 // close to uniform over the range.
 TEST(UniversalHashTest, MarginalUniformity) {
