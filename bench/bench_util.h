@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/montgomery.h"
 #include "ldp/support_kernels.h"
 #include "util/thread_pool.h"
 
@@ -84,8 +85,20 @@ inline void PrintHeader(const std::string& label,
   std::printf("\n");
 }
 
+/// argv with `defaults` inserted after the program name, so flags given
+/// on the command line (parsed later) override them. The pointers borrow
+/// from argv and `defaults`, which must outlive the result.
+inline std::vector<char*> WithDefaultFlags(int argc, char** argv,
+                                           std::vector<std::string>* defaults) {
+  std::vector<char*> out(argv, argv + 1);
+  for (std::string& flag : *defaults) out.push_back(&flag[0]);
+  out.insert(out.end(), argv + 1, argv + argc);
+  return out;
+}
+
 /// JSON object naming the host a bench row was measured on: core count,
-/// CPU model, support-kernel backend, process-pool size and build type.
+/// CPU model, support-kernel and Montgomery backends, process-pool size
+/// and build type.
 /// Rows from different hosts are not comparable; this says which is which.
 inline std::string HostFingerprintJson() {
   std::string cpu_model = "unknown";
@@ -105,10 +118,11 @@ inline std::string HostFingerprintJson() {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"cores\": %u, \"cpu_model\": \"%s\", "
-                "\"support_backend\": \"%s\", \"pool_threads\": %u, "
-                "\"build_type\": \"%s\"}",
+                "\"support_backend\": \"%s\", \"mont_backend\": \"%s\", "
+                "\"pool_threads\": %u, \"build_type\": \"%s\"}",
                 std::thread::hardware_concurrency(), cpu_model.c_str(),
                 ldp::SupportBackendName(ldp::ActiveSupportBackend()),
+                crypto::MontBackendName(crypto::ActiveMontBackend()),
                 GlobalThreadPool().num_threads(), SHUFFLEDP_BUILD_TYPE);
   return buf;
 }

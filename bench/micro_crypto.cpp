@@ -1,8 +1,15 @@
 // Microbenchmarks (google-benchmark) for every cryptographic and
 // mechanism primitive on the PEOS / SS critical paths — the per-operation
-// numbers behind Table III.
+// numbers behind Table III. Every row is the median of 3 repetitions
+// (`*_median` in the JSON; --benchmark_repetitions on the command line
+// overrides), and the JSON context carries a `host` fingerprint.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.h"
 
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
@@ -542,4 +549,19 @@ BENCHMARK(BM_Binomial_LargeN);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::vector<std::string> defaults = {
+      "--benchmark_repetitions=3", "--benchmark_report_aggregates_only=true"};
+  std::vector<char*> args =
+      shuffledp::bench::WithDefaultFlags(argc, argv, &defaults);
+  int args_count = static_cast<int>(args.size());
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+    return 1;
+  }
+  benchmark::AddCustomContext("host",
+                              shuffledp::bench::HostFingerprintJson());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -94,7 +94,8 @@ bool WriteJson(const std::string& path, const std::vector<Row>& rows,
                uint64_t n, unsigned threads) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"n\": %llu,\n  \"threads\": %u,\n",
+  std::fprintf(f, "{\n  \"host\": %s,\n  \"n\": %llu,\n  \"threads\": %u,\n",
+               bench::HostFingerprintJson().c_str(),
                static_cast<unsigned long long>(n), threads);
   std::fprintf(f, "  \"aes_backend\": \"%s\",\n  \"sha_backend\": \"%s\",\n",
                crypto::AesBackendName(crypto::ActiveAesBackend()),

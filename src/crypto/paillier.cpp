@@ -41,6 +41,16 @@ std::vector<uint64_t>& TlsMaskBuf(size_t limbs) {
   return buf;
 }
 
+// The r of Enc(m; r): uniform in [1, N) with gcd(r, N) = 1 (overwhelming
+// for random r).
+BigInt DrawRandomizer(const BigInt& n, SecureRandom* rng) {
+  BigInt r;
+  do {
+    r = BigInt::RandomBelow(n, rng);
+  } while (r.IsZero() || BigInt::Gcd(r, n) != BigInt(1));
+  return r;
+}
+
 // L_n(x) = (x - 1) / n. Pre: x == 1 mod n.
 BigInt LFunction(const BigInt& x, const BigInt& n) {
   BigInt q;
@@ -70,12 +80,7 @@ Result<PaillierCiphertext> PaillierPublicKey::Encrypt(
   if (m >= n_) {
     return Status::InvalidArgument("Paillier plaintext >= N");
   }
-  // r uniform in [1, N) with gcd(r, N) = 1 (overwhelming for random r).
-  BigInt r;
-  do {
-    r = BigInt::RandomBelow(n_, rng);
-  } while (r.IsZero() || BigInt::Gcd(r, n_) != BigInt(1));
-
+  const BigInt r = DrawRandomizer(n_, rng);
   // c = (1 + m*N) * r^N mod N^2. The final combine goes through
   // BigInt::ModMul, which picks the division path for production-size
   // N^2 (>= Karatsuba threshold) — there the short 1 + m*N operand of a
@@ -289,11 +294,90 @@ Result<uint64_t> PaillierPrivateKey::DecryptMod2Ell(
 }
 
 size_t PaillierPrivateKey::PackedSlotCapacity(unsigned slot_bits) const {
-  const size_t n_bits = pub_.n().BitLength();
-  if (slot_bits == 0 || n_bits < 2) return 1;
-  // Packed plaintext must stay < 2^(n_bits - 1) <= N.
-  const size_t cap = (n_bits - 1) / slot_bits;
-  return cap == 0 ? 1 : cap;
+  const size_t p_bits = p_.BitLength();
+  if (slot_bits == 0 || p_bits < 2) return 0;
+  // Packed plaintext must stay < 2^(|p| - 1) < p: then its residue mod p
+  // — all the p^2 half recovers — is the packed integer itself.
+  return (p_bits - 1) / slot_bits;
+}
+
+Status PaillierPrivateKey::CheckPacked(const PaillierCiphertext* cs,
+                                       size_t count, unsigned slot_bits,
+                                       unsigned ell) const {
+  if (p_.IsZero()) {
+    return Status::FailedPrecondition("Paillier private key not initialized");
+  }
+  if (ell < 1 || ell > 64 || slot_bits < ell) {
+    return Status::InvalidArgument("Paillier: bad packed slot layout");
+  }
+  if (PackedSlotCapacity(slot_bits) == 0) {
+    return Status::InvalidArgument("Paillier: packed slot wider than |p| - 1");
+  }
+  for (size_t i = 0; i < count; ++i) {
+    if (cs[i].value.IsZero() || cs[i].value >= pub_.n_squared()) {
+      return Status::CryptoError("Paillier: ciphertext out of range");
+    }
+  }
+  return Status::OK();
+}
+
+void PaillierPrivateKey::DecryptPackedGroups(const PaillierCiphertext* cs,
+                                             size_t groups, size_t len,
+                                             unsigned slot_bits, unsigned ell,
+                                             uint64_t* out) const {
+  // Horner over the p^2 residue: acc = prod_i c_i^(2^(slot_bits * i)),
+  // i.e. each slot's plaintext lands at bit offset slot_bits * i. Every
+  // ciphertext enters the Montgomery domain once and the accumulators
+  // stay there across the group; up to kMaxBatchLanes groups run as
+  // interleaved lanes, and so do their secret-exponent modexps. Every
+  // kernel returns canonical values, so a group's slots do not depend on
+  // which lane block it lands in.
+  const MontgomeryCtx& ctx = *p2_ctx_;
+  const size_t n = ctx.limbs();
+  constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
+  MontgomeryCtx::Scratch scratch(ctx);
+  std::vector<uint64_t> accv(kLanes * n), civ(kLanes * n);
+  std::vector<uint64_t> one(n, 0);
+  one[0] = 1;
+  uint64_t* acc[kLanes];
+  uint64_t* ci[kLanes];
+  const BigInt* vs[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) {
+    acc[l] = accv.data() + l * n;
+    ci[l] = civ.data() + l * n;
+  }
+  for (size_t g0 = 0; g0 < groups; g0 += kLanes) {
+    const size_t kb = std::min(kLanes, groups - g0);
+    for (size_t l = 0; l < kb; ++l) {
+      vs[l] = &cs[(g0 + l) * len + len - 1].value;
+    }
+    ctx.ToMontManyInto(kb, vs, acc, &scratch);
+    for (size_t pos = len - 1; pos-- > 0;) {
+      for (unsigned b = 0; b < slot_bits; ++b) {
+        ctx.SqrManyInto(kb, acc, acc, &scratch);
+      }
+      for (size_t l = 0; l < kb; ++l) {
+        vs[l] = &cs[(g0 + l) * len + pos].value;
+      }
+      ctx.ToMontManyInto(kb, vs, ci, &scratch);
+      ctx.MulManyInto(kb, acc, ci, acc, &scratch);
+    }
+    // c^(p-1) with the shared secret exponent, kb ct lanes at once; exit
+    // the domain through the ct multiply-by-one.
+    ctx.CtModExpManyInto(kb, acc, p_minus_1_, 0, acc, &scratch);
+    for (size_t l = 0; l < kb; ++l) {
+      ctx.CtMulInto(acc[l], one.data(), acc[l], &scratch);
+      BigInt cx = BigInt::FromLimbsLittleEndian(
+          std::vector<uint64_t>(acc[l], acc[l] + n));
+      const BigInt packed = LFunction(cx, p_).ModMul(hp_, p_);
+      // ExtractBits truncates to exactly ell bits (validated <= 64).
+      uint64_t* group_out = out + (g0 + l) * len;
+      for (size_t i = 0; i < len; ++i) {
+        group_out[i] =
+            ExtractBits(packed, i * static_cast<size_t>(slot_bits), ell);
+      }
+    }
+  }
 }
 
 Status PaillierPrivateKey::DecryptPackedMod2Ell(const PaillierCiphertext* cs,
@@ -302,50 +386,11 @@ Status PaillierPrivateKey::DecryptPackedMod2Ell(const PaillierCiphertext* cs,
                                                 unsigned ell,
                                                 uint64_t* out) const {
   if (count == 0) return Status::OK();
-  if (p_.IsZero()) {
-    return Status::FailedPrecondition("Paillier private key not initialized");
-  }
-  if (ell < 1 || ell > 64 || slot_bits < ell) {
-    return Status::InvalidArgument("Paillier: bad packed slot layout");
-  }
+  SHUFFLEDP_RETURN_NOT_OK(CheckPacked(cs, count, slot_bits, ell));
   if (count > PackedSlotCapacity(slot_bits)) {
     return Status::InvalidArgument("Paillier: pack group exceeds capacity");
   }
-  for (size_t i = 0; i < count; ++i) {
-    if (cs[i].value.IsZero() || cs[i].value >= pub_.n_squared()) {
-      return Status::CryptoError("Paillier: ciphertext out of range");
-    }
-  }
-
-  // Horner over one CRT residue: acc = prod_i c_i^(2^(slot_bits * i)),
-  // i.e. each slot's plaintext lands at bit offset slot_bits * i. Every
-  // ciphertext enters the Montgomery domain once, the accumulator stays
-  // there across the whole group, and one conversion exits.
-  auto packed_residue = [&](const MontgomeryCtx& ctx) -> BigInt {
-    const size_t n = ctx.limbs();
-    MontgomeryCtx::Scratch scratch(ctx);
-    std::vector<uint64_t> acc(n), ci(n);
-    ctx.ToMontInto(cs[count - 1].value, acc.data(), &scratch);
-    for (size_t i = count - 1; i-- > 0;) {
-      for (unsigned b = 0; b < slot_bits; ++b) {
-        ctx.SqrInto(acc.data(), acc.data(), &scratch);
-      }
-      ctx.ToMontInto(cs[i].value, ci.data(), &scratch);
-      ctx.MulInto(acc.data(), ci.data(), acc.data(), &scratch);
-    }
-    return ctx.FromMontLimbs(acc.data(), &scratch);
-  };
-
-  BigInt mp = RecoverHalf(*p2_ctx_, packed_residue(*p2_ctx_), p_,
-                          p_minus_1_, hp_);
-  BigInt mq = RecoverHalf(*q2_ctx_, packed_residue(*q2_ctx_), q_,
-                          q_minus_1_, hq_);
-  BigInt packed = CrtCombine(mp, mq);
-
-  // ExtractBits truncates to exactly ell bits (validated <= 64 above).
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = ExtractBits(packed, i * static_cast<size_t>(slot_bits), ell);
-  }
+  DecryptPackedGroups(cs, 1, count, slot_bits, ell, out);
   return Status::OK();
 }
 
@@ -353,86 +398,16 @@ Status PaillierPrivateKey::DecryptPackedMod2EllBatch(
     const PaillierCiphertext* cs, size_t count, unsigned slot_bits,
     unsigned ell, uint64_t* out) const {
   if (count == 0) return Status::OK();
-  if (p_.IsZero()) {
-    return Status::FailedPrecondition("Paillier private key not initialized");
-  }
-  if (ell < 1 || ell > 64 || slot_bits < ell) {
-    return Status::InvalidArgument("Paillier: bad packed slot layout");
-  }
-  for (size_t i = 0; i < count; ++i) {
-    if (cs[i].value.IsZero() || cs[i].value >= pub_.n_squared()) {
-      return Status::CryptoError("Paillier: ciphertext out of range");
-    }
-  }
+  SHUFFLEDP_RETURN_NOT_OK(CheckPacked(cs, count, slot_bits, ell));
+  // Group boundaries are the multiples of the capacity the one-group
+  // entry point would use; a short tail group runs on its own.
   const size_t cap = PackedSlotCapacity(slot_bits);
   const size_t nfull = count / cap;
   const size_t tail = count - nfull * cap;
-
-  if (nfull > 0) {
-    // One Horner chain per capacity-sized group, up to kMaxBatchLanes
-    // chains interleaved: the squarings/multiplies that dominate a
-    // packed decryption, and the secret-exponent CRT modexps behind
-    // them, all run as batch-kernel lanes. Group boundaries are the
-    // same multiples of the capacity the scalar loop would use, and
-    // every kernel returns canonical values, so the recovered slots are
-    // bitwise identical to per-group DecryptPackedMod2Ell calls.
-    std::vector<BigInt> mps(nfull), mqs(nfull);
-    auto halves = [&](const MontgomeryCtx& ctx, const BigInt& prime,
-                      const BigInt& prime_minus_1, const BigInt& h,
-                      std::vector<BigInt>* outs) {
-      const size_t n = ctx.limbs();
-      constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
-      MontgomeryCtx::Scratch scratch(ctx);
-      std::vector<uint64_t> accv(kLanes * n), civ(kLanes * n);
-      std::vector<uint64_t> one(n, 0);
-      one[0] = 1;
-      uint64_t* acc[kLanes];
-      uint64_t* ci[kLanes];
-      const BigInt* vs[kLanes];
-      for (size_t l = 0; l < kLanes; ++l) {
-        acc[l] = accv.data() + l * n;
-        ci[l] = civ.data() + l * n;
-      }
-      for (size_t g0 = 0; g0 < nfull; g0 += kLanes) {
-        const size_t kb = std::min(kLanes, nfull - g0);
-        for (size_t l = 0; l < kb; ++l) {
-          vs[l] = &cs[(g0 + l) * cap + cap - 1].value;
-        }
-        ctx.ToMontManyInto(kb, vs, acc, &scratch);
-        for (size_t pos = cap - 1; pos-- > 0;) {
-          for (unsigned b = 0; b < slot_bits; ++b) {
-            ctx.SqrManyInto(kb, acc, acc, &scratch);
-          }
-          for (size_t l = 0; l < kb; ++l) {
-            vs[l] = &cs[(g0 + l) * cap + pos].value;
-          }
-          ctx.ToMontManyInto(kb, vs, ci, &scratch);
-          ctx.MulManyInto(kb, acc, ci, acc, &scratch);
-        }
-        // c^(m-1) with the shared secret exponent, kb ct lanes at once;
-        // exit the domain through the ct multiply-by-one.
-        ctx.CtModExpManyInto(kb, acc, prime_minus_1, 0, acc, &scratch);
-        for (size_t l = 0; l < kb; ++l) {
-          ctx.CtMulInto(acc[l], one.data(), acc[l], &scratch);
-          std::vector<uint64_t> limbs(acc[l], acc[l] + n);
-          BigInt cx = BigInt::FromLimbsLittleEndian(std::move(limbs));
-          (*outs)[g0 + l] = LFunction(cx, prime).ModMul(h, prime);
-        }
-      }
-    };
-    halves(*p2_ctx_, p_, p_minus_1_, hp_, &mps);
-    halves(*q2_ctx_, q_, q_minus_1_, hq_, &mqs);
-    for (size_t g = 0; g < nfull; ++g) {
-      const BigInt packed = CrtCombine(mps[g], mqs[g]);
-      for (size_t i = 0; i < cap; ++i) {
-        out[g * cap + i] =
-            ExtractBits(packed, i * static_cast<size_t>(slot_bits), ell);
-      }
-    }
-  }
+  DecryptPackedGroups(cs, nfull, cap, slot_bits, ell, out);
   if (tail > 0) {
-    return DecryptPackedMod2Ell(cs + nfull * cap, tail, slot_bits, ell,
-                                out + nfull * cap);
+    DecryptPackedGroups(cs + nfull * cap, 1, tail, slot_bits, ell,
+                        out + nfull * cap);
   }
   return Status::OK();
 }
@@ -460,20 +435,23 @@ Result<PaillierKeyPair> PaillierGenerateKeyPair(size_t modulus_bits,
 }
 
 RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, size_t size,
-                               SecureRandom* rng)
+                               SecureRandom* rng, ThreadPool* threads)
     : pub_(&pub) {
   assert(size >= 2);
   const MontgomeryCtx* ctx = pub.n2_ctx();
   assert(ctx != nullptr);
-  MontgomeryCtx::Scratch scratch(*ctx);
-  pool_mont_.reserve(size);
-  for (size_t i = 0; i < size; ++i) {
-    auto enc_zero = pub.Encrypt(BigInt(), rng);
-    assert(enc_zero.ok());
-    std::vector<uint64_t> mont(ctx->limbs());
-    ctx->ToMontInto(enc_zero->value, mont.data(), &scratch);
-    pool_mont_.push_back(std::move(mont));
-  }
+  // Enc(0; r) = r^N mod N^2. The r values come off `rng` serially, as
+  // `size` Encrypt(0) calls would draw them; the modexps are independent.
+  std::vector<BigInt> rs(size);
+  for (BigInt& r : rs) r = DrawRandomizer(pub.n(), rng);
+  pool_mont_.assign(size, std::vector<uint64_t>(ctx->limbs()));
+  ForChunks(threads, 0, size, 1, [&](uint64_t lo, uint64_t hi) {
+    MontgomeryCtx::Scratch scratch(*ctx);
+    for (uint64_t i = lo; i < hi; ++i) {
+      ctx->ToMontInto(ctx->ModExp(rs[i], pub.n()), pool_mont_[i].data(),
+                      &scratch);
+    }
+  });
 }
 
 PaillierCiphertext RandomizerPool::Rerandomize(const PaillierCiphertext& c,

@@ -19,16 +19,18 @@
 //    public key without a context (N even or < 3) cannot encrypt:
 //    Encrypt answers FailedPrecondition, and the other operations
 //    require a context.
-//  * DecryptPackedMod2Ell packs many small plaintexts into one Paillier
-//    plaintext (Horner in the Montgomery domain: w squarings + 1 multiply
-//    per ciphertext) and amortizes the two CRT modexps of a full
-//    decryption over the whole group — the PEOS server-side path.
+//  * DecryptPackedMod2Ell packs many small plaintexts into one plaintext
+//    below p (Horner in the Montgomery domain: w squarings + 1 multiply
+//    per ciphertext) and recovers the whole group from the p^2 half of
+//    one decryption: one secret-exponent modexp per group, no q^2 half
+//    and no CRT recombination — the PEOS server-side path.
 //  * A RandomizerPool amortizes the r^N modexp: masks are products of
-//    two pooled Enc(0) values — pool_size^2 distinct masks only, a
-//    simulation shortcut with no formal rerandomization guarantee. PEOS
-//    and ShuffleDpCollector use it by default (`use_randomizer_pool =
-//    true`); setting that to false makes every encryption and re-mask a
-//    fresh full-width PaillierPublicKey::Encrypt.
+//    two pooled Enc(0) values (built on an optional ThreadPool) —
+//    pool_size^2 distinct masks only, a simulation shortcut with no
+//    formal rerandomization guarantee. PEOS and ShuffleDpCollector use
+//    it by default (`use_randomizer_pool = true`); setting that to false
+//    makes every encryption and re-mask a fresh full-width
+//    PaillierPublicKey::Encrypt.
 
 #ifndef SHUFFLEDP_CRYPTO_PAILLIER_H_
 #define SHUFFLEDP_CRYPTO_PAILLIER_H_
@@ -41,6 +43,7 @@
 #include "crypto/montgomery.h"
 #include "crypto/secure_random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -155,16 +158,20 @@ class PaillierPrivateKey {
                                   unsigned ell) const;
 
   /// How many ciphertexts DecryptPackedMod2Ell can fold into one
-  /// decryption when each plaintext occupies `slot_bits` bits (>= 1).
+  /// decryption when each plaintext occupies `slot_bits` bits:
+  /// floor((|p| - 1) / slot_bits), so a packed plaintext stays below
+  /// 2^(|p| - 1) < p. 0 when a single slot does not fit (or slot_bits
+  /// is 0); the packed entry points reject such layouts.
   size_t PackedSlotCapacity(unsigned slot_bits) const;
 
   /// Batched share recovery: packs `count` ciphertexts (count <=
-  /// PackedSlotCapacity(slot_bits)) into a single Paillier plaintext —
+  /// PackedSlotCapacity(slot_bits)) into a single plaintext below p —
   /// slot i gets plaintext i at bit offset i*slot_bits via a Montgomery-
-  /// domain Horner pass over both CRT residues (each ciphertext is
+  /// domain Horner pass over the p^2 residue (each ciphertext is
   /// converted into the Montgomery domain once, accumulated with
   /// MontMul/MontSqr, and converted back once per group) — then recovers
-  /// every slot mod 2^ell (ell <= 64) from one CRT decryption.
+  /// every slot mod 2^ell (ell <= 64) from that half alone. Exact because
+  /// Dec mod p equals the packed integer whenever it is below p.
   ///
   /// Pre: every plaintext is < 2^slot_bits. PEOS guarantees this by
   /// construction (shares are ell-bit values and each EOS round adds one
@@ -174,13 +181,14 @@ class PaillierPrivateKey {
   /// slots of its own pack group (PackedSlotCapacity(slot_bits) rows);
   /// every row outside that group decrypts exactly. DecryptMod2Ell
   /// isolates each row and serves as the per-row reference in tests.
+  /// InvalidArgument when slot_bits > |p| - 1 (capacity 0).
   Status DecryptPackedMod2Ell(const PaillierCiphertext* cs, size_t count,
                               unsigned slot_bits, unsigned ell,
                               uint64_t* out) const;
 
   /// Multi-group DecryptPackedMod2Ell: splits `count` ciphertexts into
   /// PackedSlotCapacity(slot_bits)-sized groups and runs up to
-  /// MontgomeryCtx::kMaxBatchLanes group Horner chains — and their CRT
+  /// MontgomeryCtx::kMaxBatchLanes group Horner chains — and their p^2
   /// modexps — through the interleaved batch kernels at once. Results
   /// are bitwise identical to looping DecryptPackedMod2Ell over the
   /// groups; same preconditions, except count may exceed the capacity.
@@ -198,6 +206,15 @@ class PaillierPrivateKey {
                      const BigInt& h) const;
   // Garner recombination of the CRT halves.
   BigInt CrtCombine(const BigInt& mp, const BigInt& mq) const;
+  // Shared argument checks of the packed entry points.
+  Status CheckPacked(const PaillierCiphertext* cs, size_t count,
+                     unsigned slot_bits, unsigned ell) const;
+  // `groups` consecutive pack groups of `len` ciphertexts each, up to
+  // kMaxBatchLanes groups per batch-kernel pass, recovered from the p^2
+  // half. Pre: CheckPacked passed and len <= the capacity.
+  void DecryptPackedGroups(const PaillierCiphertext* cs, size_t groups,
+                           size_t len, unsigned slot_bits, unsigned ell,
+                           uint64_t* out) const;
 
   PaillierPublicKey pub_;
   BigInt p_, q_;            // primes
@@ -226,9 +243,12 @@ Result<PaillierKeyPair> PaillierGenerateKeyPair(size_t modulus_bits,
 class RandomizerPool {
  public:
   /// Precomputes `size` Enc(0) values (size >= 2). Pre: the key has a
-  /// Montgomery context.
+  /// Montgomery context. The r values are drawn serially from `rng`, in
+  /// the order `size` fresh Encrypt(0) calls would draw them; only the
+  /// r^N modexps run on `threads` (null = serial), so the masks are
+  /// bitwise identical for every pool.
   RandomizerPool(const PaillierPublicKey& pub, size_t size,
-                 SecureRandom* rng);
+                 SecureRandom* rng, ThreadPool* threads = nullptr);
 
   /// Returns c multiplied by two pooled Enc(0) masks.
   PaillierCiphertext Rerandomize(const PaillierCiphertext& c,

@@ -29,16 +29,9 @@ std::string StreamingStats::ToString() const {
 }
 
 ReportBatch MakePlainBatch(std::vector<ldp::LdpReport> reports) {
-  auto shared =
-      std::make_shared<std::vector<ldp::LdpReport>>(std::move(reports));
   ReportBatch batch;
-  batch.count = shared->size();
-  batch.decode = [shared](uint64_t i) -> Result<DecodedRow> {
-    DecodedRow row;
-    row.valid = true;
-    row.report = (*shared)[i];
-    return row;
-  };
+  batch.count = reports.size();
+  batch.reports = std::move(reports);
   return batch;
 }
 
@@ -202,24 +195,10 @@ Status PartitionWorker::OfferReports(
 
 Status PartitionWorker::OfferIndexed(
     uint64_t total, std::function<Result<DecodedRow>(uint64_t row)> decode) {
-  return OfferIndexedPrepared(total, nullptr, std::move(decode));
-}
-
-Status PartitionWorker::OfferIndexedPrepared(
-    uint64_t total,
-    std::function<Status(uint64_t lo, uint64_t hi, ThreadPool* pool)>
-        prepare,
-    std::function<Result<DecodedRow>(uint64_t row)> decode) {
   const uint64_t batch_size = std::max<size_t>(1, options_.batch_size);
   for (uint64_t lo = 0; lo < total; lo += batch_size) {
-    const uint64_t hi = std::min(total, lo + batch_size);
     ReportBatch batch;
-    batch.count = hi - lo;
-    if (prepare) {
-      batch.prepare = [prepare, lo, hi](ThreadPool* pool) {
-        return prepare(lo, hi, pool);
-      };
-    }
+    batch.count = std::min(total, lo + batch_size) - lo;
     batch.decode = [decode, lo](uint64_t i) { return decode(lo + i); };
     SHUFFLEDP_RETURN_NOT_OK(Offer(std::move(batch)));
   }
@@ -400,23 +379,29 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   ++batches_seen_;
   rows_seen_ += batch.count;
 
-  if (batch.prepare) {
-    Status prep_status = batch.prepare(options_.pool);
-    if (!prep_status.ok()) {
-      FailRound(prep_status);
+  const bool persist = store_ != nullptr && !durability_degraded_;
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> consumed_dummies;
+  std::vector<ldp::LdpReport> kept;
+  kept.reserve(batch.count);
+  auto keep = [&](const ldp::LdpReport& report, uint64_t tag) {
+    if (!oracle_.ValidateReport(report).ok()) {
+      ++reports_invalid_;
       return;
     }
-  }
-
-  std::vector<DecodedRow> rows(batch.count);
-  if (!batch.decode) {
-    for (uint64_t i = 0; i < batch.count; ++i) {
-      auto rep = oracle_.UnpackOrdinal(batch.ordinals[i]);
-      if (!rep.ok()) continue;  // padding ordinal: dropped as invalid
-      rows[i].report = *rep;
-      rows[i].valid = true;
+    if (!dummy_multiset_.empty()) {
+      auto it = dummy_multiset_.find({ldp::PackReport(report), tag});
+      if (it != dummy_multiset_.end() && it->second > 0) {
+        --it->second;
+        ++dummies_recognized_;
+        if (persist) ++consumed_dummies[it->first];
+        return;  // server-planted dummy: strip before estimation
+      }
     }
-  } else {
+    kept.push_back(report);
+  };
+
+  if (batch.decode) {
+    std::vector<DecodedRow> rows(batch.count);
     std::mutex status_mu;
     Status decode_status = Status::OK();
     std::atomic<bool> failed{false};
@@ -439,31 +424,27 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
       FailRound(decode_status);
       return;
     }
-  }
-
-  const bool persist = store_ != nullptr && !durability_degraded_;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> consumed_dummies;
-  std::vector<ldp::LdpReport> kept;
-  kept.reserve(rows.size());
-  for (const DecodedRow& row : rows) {
-    if (!row.valid || !oracle_.ValidateReport(row.report).ok()) {
-      ++reports_invalid_;
-      continue;
-    }
-    if (!dummy_multiset_.empty()) {
-      auto it =
-          dummy_multiset_.find({ldp::PackReport(row.report), row.tag});
-      if (it != dummy_multiset_.end() && it->second > 0) {
-        --it->second;
-        ++dummies_recognized_;
-        if (persist) ++consumed_dummies[it->first];
-        continue;  // server-planted dummy: strip before estimation
+    for (const DecodedRow& row : rows) {
+      if (row.valid) {
+        keep(row.report, row.tag);
+      } else {
+        ++reports_invalid_;
       }
     }
-    kept.push_back(row.report);
+  } else if (!batch.ordinals.empty()) {
+    for (uint64_t ordinal : batch.ordinals) {
+      auto rep = oracle_.UnpackOrdinal(ordinal);
+      if (rep.ok()) {
+        keep(*rep, 0);
+      } else {
+        ++reports_invalid_;  // padding ordinal
+      }
+    }
+  } else {
+    for (const ldp::LdpReport& report : batch.reports) keep(report, 0);
   }
   reports_decoded_ += kept.size();
-  // Split visibility: everything up to here (prepare, decode fan-out,
+  // Split visibility: everything up to here (decode fan-out or unpack,
   // validation, dummy stripping) is decode cost; the
   // AccumulateSupportCounts call is pure support accumulation — the two
   // dominate SOLH and GRR rounds respectively, and the bench reports them

@@ -93,25 +93,23 @@ struct DecodedRow {
   uint64_t tag = 0;  ///< payload tag (spot-check matching); 0 when unused
 };
 
-/// A batch of reports flowing through the queue. `decode` is invoked for
-/// i in [0, count) from pool workers (concurrently, each index once); it
-/// owns whatever per-batch data it needs via its captures. A non-OK
-/// result is a hard protocol failure that aborts the round.
+/// A batch of reports flowing through the queue, in one of three forms:
+/// `decode` set, or else packed `ordinals`, or else decoded `reports`.
 struct ReportBatch {
   uint64_t count = 0;
-  /// Optional batch-level stage run once on the consumer thread before
-  /// the per-row decode fan-out — e.g. the PEOS packed Paillier
-  /// decryption, which amortizes one CRT decryption over a whole group
-  /// of rows. Receives the fan-out pool (null = serial); its time counts
-  /// toward busy_seconds. A non-OK status aborts the round like a decode
-  /// failure.
-  std::function<Status(ThreadPool* pool)> prepare;
+  /// Invoked for i in [0, count) from pool workers (concurrently, each
+  /// index once); it owns whatever per-batch data it needs via its
+  /// captures. A non-OK result is a hard protocol failure that aborts
+  /// the round.
   std::function<Result<DecodedRow>(uint64_t i)> decode;
-  /// Packed report ordinals (oracle.PackOrdinal), one per row, read only
-  /// when `decode` is empty (build with MakeOrdinalBatch). The consumer
-  /// unpacks them itself: a few ns per row is less than a pool handoff
-  /// costs. Ordinals in the padding region drop as invalid rows.
+  /// Packed report ordinals (oracle.PackOrdinal), one per row (build
+  /// with MakeOrdinalBatch). The consumer unpacks them itself: a few ns
+  /// per row is less than a pool handoff costs. Ordinals in the padding
+  /// region drop as invalid rows.
   std::vector<uint64_t> ordinals;
+  /// Already-decoded reports, one per row (build with MakePlainBatch),
+  /// read inline by the consumer like `ordinals`.
+  std::vector<ldp::LdpReport> reports;
 };
 
 /// Builds a decode-free batch from already-decoded reports.
@@ -157,7 +155,7 @@ struct StreamingStats {
   uint64_t backpressure_waits = 0;   ///< producer pushes that blocked
   uint64_t queue_high_water = 0;     ///< deepest buffered batch count
   double busy_seconds = 0.0;         ///< consumer time decoding + counting
-  double decode_seconds = 0.0;       ///< prepare + decode fan-out + validate
+  double decode_seconds = 0.0;       ///< decode fan-out / unpack + validate
   double support_eval_seconds = 0.0; ///< support accumulation (kernel) time
   double wall_seconds = 0.0;         ///< round open -> close sentinel drained
   double rows_per_second = 0.0;      ///< rows / wall_seconds
@@ -227,16 +225,6 @@ class PartitionWorker {
   /// concurrently (it is shared across the batches' pool tasks).
   Status OfferIndexed(uint64_t total,
                       std::function<Result<DecodedRow>(uint64_t row)> decode);
-
-  /// Like OfferIndexed, but each batch first runs `prepare(lo, hi, pool)`
-  /// once on the consumer thread (absolute row range [lo, hi); the pool
-  /// is the decode fan-out pool, null = serial) before its rows decode —
-  /// the hook for batch-level crypto such as packed AHE decryption.
-  Status OfferIndexedPrepared(
-      uint64_t total,
-      std::function<Status(uint64_t lo, uint64_t hi, ThreadPool* pool)>
-          prepare,
-      std::function<Result<DecodedRow>(uint64_t row)> decode);
 
   /// Closes the current round *asynchronously*: enqueues a round-close
   /// sentinel behind everything offered so far and returns a future that

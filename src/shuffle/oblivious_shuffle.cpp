@@ -1,7 +1,6 @@
 #include "shuffle/oblivious_shuffle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "util/rng.h"
@@ -10,6 +9,10 @@ namespace shuffledp {
 namespace shuffle {
 
 namespace {
+
+// Rows per rerandomization chunk of an EOS round; each chunk draws from
+// its own forked stream.
+constexpr uint64_t kTransformChunk = 1024;
 
 inline uint64_t Mask(unsigned ell) {
   return ell >= 64 ? ~uint64_t{0} : ((uint64_t{1} << ell) - 1);
@@ -286,21 +289,18 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
                            mont_column[i].data(), &scratch);
         }
       };
-      if (opts.thread_pool != nullptr) {
-        std::vector<crypto::SecureRandom> locals;
-        const unsigned workers = opts.thread_pool->num_threads();
-        locals.reserve(workers * 4);
-        for (unsigned w = 0; w < workers * 4; ++w) {
-          locals.push_back(rng->Fork());
-        }
-        std::atomic<size_t> next_local{0};
-        opts.thread_pool->ParallelFor(0, n, [&](uint64_t lo, uint64_t hi) {
-          size_t idx = next_local.fetch_add(1) % locals.size();
-          transform(lo, hi, &locals[idx]);
-        });
-      } else {
-        transform(0, n, rng);
+      // One child stream per fixed-size chunk, forked serially before any
+      // chunk runs: the column and every later protocol draw are the
+      // same for every pool size and scheduling, and for the null pool.
+      std::vector<crypto::SecureRandom> locals;
+      locals.reserve((n + kTransformChunk - 1) / kTransformChunk);
+      for (uint64_t lo = 0; lo < n; lo += kTransformChunk) {
+        locals.push_back(rng->Fork());
       }
+      ForChunks(opts.thread_pool, 0, n, kTransformChunk,
+                [&](uint64_t lo, uint64_t hi) {
+                  transform(lo, hi, &locals[lo / kTransformChunk]);
+                });
       if (ledger != nullptr) {
         ledger->RecordSend(Role::kShuffler, Role::kShuffler,
                            n * cipher_bytes);

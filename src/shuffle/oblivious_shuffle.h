@@ -77,6 +77,8 @@ struct EosOptions {
   const crypto::PaillierPublicKey* public_key = nullptr;
   /// Optional Enc(0) pool; when null, every re-mask uses a fresh modexp.
   const crypto::RandomizerPool* pool = nullptr;
+  /// Optional pool for the per-round column work (null = serial); the
+  /// output columns are bitwise the same either way.
   ThreadPool* thread_pool = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "shuffle/peos.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "crypto/secret_sharing.h"
@@ -64,10 +65,16 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     if (!kp.ok()) return kp.status();
     server_keys = std::move(kp).value();
   }
+  const unsigned slot_bits = PeosPackedSlotBits(ell, r);
+  const uint64_t group = server_keys.priv.PackedSlotCapacity(slot_bits);
+  if (group == 0) {
+    return Status::InvalidArgument(
+        "PEOS: Paillier prime too small for the packed slot width");
+  }
   std::unique_ptr<crypto::RandomizerPool> pool;
   if (config.use_randomizer_pool) {
     pool = std::make_unique<crypto::RandomizerPool>(
-        server_keys.pub, kRandomizerPoolSize, rng);
+        server_keys.pub, kRandomizerPoolSize, rng, config.pool);
   }
   const uint64_t cipher_bytes = server_keys.pub.CiphertextBytes();
 
@@ -186,70 +193,53 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
   ledger.RecordSend(Role::kShuffler, Role::kServer,
                     total * cipher_bytes /* ciphertext column */);
 
-  // --- Server: streaming decrypt + reconstruct + estimate -------------------
-  // Rows are offered to the streaming collector in fixed-size batches.
-  // Each batch's prepare stage recovers the encrypted shares by packed
-  // decryption on the pool; the per-row decode then folds in the
-  // plaintext share columns and unpacks the ordinal. Padding-region
-  // ordinals (possible only when the ordinal space is not padding-free)
-  // and malformed rows are dropped as invalid and accounted for by the
-  // ordinal calibration.
+  // --- Server: decrypt + reconstruct + estimate ----------------------------
+  // One pass over the whole post-EOS column recovers the encrypted shares
+  // by packed decryption and folds in the plaintext share columns; the
+  // ordinals then stream to the collector in fixed-size batches.
+  // Padding-region ordinals (possible only when the ordinal space is not
+  // padding-free) drop as invalid rows, which the ordinal calibration
+  // accounts for.
   {
     service::StreamingOptions stream_opts = config.streaming;
     stream_opts.pool = config.pool;
     service::StreamingCollector collector(oracle, stream_opts);
 
-    const ldp::ScalarFrequencyOracle* oracle_ptr = &oracle;
-    const crypto::PaillierPrivateKey* priv = &server_keys.priv;
-    const EosState* state_ptr = &state;
-    // Captured pointers outlive the pipeline: FinishRound below drains
-    // the queue before `state` or the keys leave scope.
-    const unsigned slot_bits = PeosPackedSlotBits(ell, r);
-    const uint64_t group =
-        static_cast<uint64_t>(priv->PackedSlotCapacity(slot_bits));
-    // Shares recovered by the batch prepare stage, read by the
-    // (crypto-free) per-row decode closures of the same batch.
-    auto shares = std::make_shared<std::vector<uint64_t>>(total);
-    SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexedPrepared(
-        total,
-        [priv, state_ptr, shares, slot_bits, ell, group](
-            uint64_t lo, uint64_t hi, ThreadPool* fan_out) -> Status {
-          std::mutex status_mu;
-          Status status = Status::OK();
-          // One lane-block of pack groups per fixed-size chunk: the batch
-          // decryption splits a chunk into capacity-sized groups at the
-          // same multiples of `group` the scalar path used, and runs them
-          // as interleaved kernel lanes. Boundaries depend only on the
-          // batch slicing, never on the worker count, so the recovered
-          // shares — and the estimates — stay bitwise reproducible across
-          // SHUFFLEDP_THREADS settings (and across kernel backends, which
-          // all return canonical values).
-          ForChunks(fan_out, lo, hi,
-                    group * crypto::MontgomeryCtx::kMaxBatchLanes,
-                    [&](uint64_t glo, uint64_t ghi) {
-                      Status st = priv->DecryptPackedMod2EllBatch(
-                          &state_ptr->cipher_column[glo], ghi - glo,
-                          slot_bits, ell, shares->data() + glo);
-                      if (!st.ok()) {
-                        std::lock_guard<std::mutex> lock(status_mu);
-                        if (status.ok()) status = st;
-                      }
-                    });
-          return status;
-        },
-        [oracle_ptr, state_ptr, shares,
-         mask](uint64_t row_index) -> Result<service::DecodedRow> {
-          uint64_t sum = (*shares)[row_index];
-          for (uint32_t j = 0; j < state_ptr->plain.num_shufflers(); ++j) {
-            sum = (sum + state_ptr->plain.columns[j][row_index]) & mask;
-          }
-          service::DecodedRow row;
-          auto rep = oracle_ptr->UnpackOrdinal(sum);
-          if (!rep.ok()) return row;  // padding ordinal: drop, don't abort
-          row.report = *rep;
-          row.valid = true;
-          return row;
-        }));
+    std::vector<uint64_t> ordinals(total);
+    {
+      ComputeScope scope(&ledger, Role::kServer);
+      std::mutex status_mu;
+      Status status = Status::OK();
+      // One lane block of pack groups per chunk: the capacity alone fixes
+      // the group boundaries, never the worker count, so the recovered
+      // shares — and the estimates — are bitwise reproducible across
+      // SHUFFLEDP_THREADS settings and kernel backends (all of which
+      // return canonical values).
+      ForChunks(config.pool, 0, total,
+                group * crypto::MontgomeryCtx::kMaxBatchLanes,
+                [&](uint64_t lo, uint64_t hi) {
+                  Status st = server_keys.priv.DecryptPackedMod2EllBatch(
+                      &state.cipher_column[lo], hi - lo, slot_bits, ell,
+                      &ordinals[lo]);
+                  if (!st.ok()) {
+                    std::lock_guard<std::mutex> lock(status_mu);
+                    if (status.ok()) status = st;
+                    return;
+                  }
+                  for (const auto& column : state.plain.columns) {
+                    for (uint64_t i = lo; i < hi; ++i) {
+                      ordinals[i] = (ordinals[i] + column[i]) & mask;
+                    }
+                  }
+                });
+      SHUFFLEDP_RETURN_NOT_OK(status);
+    }
+    const uint64_t batch_size = std::max<size_t>(1, stream_opts.batch_size);
+    for (uint64_t lo = 0; lo < total; lo += batch_size) {
+      const uint64_t hi = std::min(total, lo + batch_size);
+      SHUFFLEDP_RETURN_NOT_OK(collector.Offer(service::MakeOrdinalBatch(
+          {ordinals.begin() + lo, ordinals.begin() + hi})));
+    }
 
     SHUFFLEDP_ASSIGN_OR_RETURN(
         service::RoundResult round,

@@ -12,8 +12,9 @@
 //      robustness tests verify.)
 //   3. All shufflers run EOS over the n + n_r share rows.
 //   4. The server receives the r plaintext columns and the ciphertext
-//      column, decrypts, reconstructs the packed reports mod 2^ell,
-//      unpacks, and estimates with the fake-report-aware calibration.
+//      column, decrypts the whole column in one packed pass on the pool,
+//      reconstructs the packed reports mod 2^ell, unpacks, and estimates
+//      with the fake-report-aware calibration.
 
 #ifndef SHUFFLEDP_SHUFFLE_PEOS_H_
 #define SHUFFLEDP_SHUFFLE_PEOS_H_
@@ -46,10 +47,12 @@ struct PeosConfig {
   uint64_t fake_reports = 0;            ///< n_r (total, one share set each)
   unsigned ell = 64;                    ///< share group Z_{2^ell}
   size_t paillier_bits = 1024;          ///< server AHE modulus size
-  // The server always decrypts packed: one CRT decryption per group of
-  // PackedSlotCapacity(PeosPackedSlotBits(ell, r)) rows. Threat bound: a
-  // hostile (oversized) plaintext corrupts at most its own post-EOS pack
-  // group; every row outside that group decrypts exactly.
+  // The server always decrypts packed: one p^2-half decryption per group
+  // of PackedSlotCapacity(PeosPackedSlotBits(ell, r)) = (|p| - 1) /
+  // slot_bits rows (12 at 40-bit slots with a 1024-bit key); a key whose
+  // p cannot hold one slot is rejected. Threat bound: a hostile
+  // (oversized) plaintext corrupts at most the other rows of its own
+  // post-EOS pack group; every row outside that group decrypts exactly.
   /// Encrypt and re-mask with a 64-entry pairwise RandomizerPool (a
   /// simulation shortcut, see crypto/paillier.h) instead of a fresh
   /// full-width r^N modexp per ciphertext.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/thread_pool.h"
+
 namespace shuffledp {
 namespace crypto {
 namespace {
@@ -476,6 +480,143 @@ TEST_F(PaillierTest, CtDecryptionAgreesWithDirectReference) {
     ASSERT_TRUE(crt.ok() && direct.ok());
     EXPECT_EQ(*crt, *direct);
     EXPECT_EQ(*crt, m);
+  }
+}
+
+// Packed decryption at full capacity with every slot at its largest
+// legal value, against the lambda-path reference (DecryptDirect shares
+// no code with the p^2 half). Even slots carry the largest post-EOS
+// plaintext — an ell-bit share plus R = 3 ell-bit adjustments, each
+// followed by a rerandomization — and odd slots 2^slot_bits - 1, so any
+// carry across a slot boundary or a packed value at or above p shows.
+TEST(PaillierPackedOracleTest, FullCapacityMaximalSlotsMatchDirectDecryption) {
+  SecureRandom rng(uint64_t{16016});
+  const unsigned kRounds = 3;
+  for (size_t bits : {size_t{256}, size_t{512}, size_t{1024}}) {
+    auto kp = PaillierGenerateKeyPair(bits, &rng);
+    ASSERT_TRUE(kp.ok());
+    RandomizerPool pool(kp->pub, 4, &rng);
+    for (unsigned ell : {16u, 37u, 64u}) {
+      const unsigned slot_bits = ell + 3;  // PEOS sizing for R = 3
+      const size_t cap = kp->priv.PackedSlotCapacity(slot_bits);
+      ASSERT_GE(cap, 1u) << bits << "-bit key, slot " << slot_bits;
+      const BigInt share_max = BigInt(1).ShiftLeft(ell).Sub(BigInt(1));
+      const BigInt slot_max = BigInt(1).ShiftLeft(slot_bits).Sub(BigInt(1));
+      std::vector<PaillierCiphertext> cs(cap);
+      std::vector<uint64_t> want(cap);
+      for (size_t i = 0; i < cap; ++i) {
+        if (i % 2 == 0) {
+          auto c = kp->pub.Encrypt(share_max, &rng);
+          ASSERT_TRUE(c.ok());
+          cs[i] = *c;
+          for (unsigned r = 0; r < kRounds; ++r) {
+            cs[i] = pool.Rerandomize(kp->pub.AddPlain(cs[i], share_max), &rng);
+          }
+        } else {
+          auto c = kp->pub.Encrypt(slot_max, &rng);
+          ASSERT_TRUE(c.ok());
+          cs[i] = *c;
+        }
+        auto direct = kp->priv.DecryptDirect(cs[i]);
+        ASSERT_TRUE(direct.ok());
+        ASSERT_EQ(*direct, i % 2 == 0
+                               ? share_max.Mul(BigInt(kRounds + 1))
+                               : slot_max);
+        want[i] = ell == 64 ? direct->limb(0)
+                            : direct->limb(0) & ((uint64_t{1} << ell) - 1);
+      }
+      std::vector<uint64_t> got(cap, 0), got_batch(cap, 0);
+      ASSERT_TRUE(kp->priv
+                      .DecryptPackedMod2Ell(cs.data(), cap, slot_bits, ell,
+                                            got.data())
+                      .ok());
+      ASSERT_TRUE(kp->priv
+                      .DecryptPackedMod2EllBatch(cs.data(), cap, slot_bits,
+                                                 ell, got_batch.data())
+                      .ok());
+      EXPECT_EQ(got, want) << bits << "-bit key, ell " << ell;
+      EXPECT_EQ(got_batch, want) << bits << "-bit key, ell " << ell;
+    }
+  }
+}
+
+// The capacity is bounded by p, not N: a key built from unbalanced
+// primes packs floor((|p| - 1) / slot_bits) slots for every slot width,
+// and widths that leave no slot below p are refused — there is no
+// fallback to a CRT decryption over both halves.
+TEST(PaillierPackedOracleTest, CapacityFitsBelowPAndWiderSlotsAreRejected) {
+  SecureRandom rng(uint64_t{4711});
+  const BigInt p = BigInt::GeneratePrime(96, &rng);
+  const BigInt q = BigInt::GeneratePrime(160, &rng);
+  auto priv = PaillierPrivateKey::FromPrimes(p, q);
+  ASSERT_TRUE(priv.ok());
+  const size_t p_bits = p.BitLength();
+  ASSERT_EQ(p_bits, 96u);
+  for (unsigned s = 1; s <= p_bits + 8; ++s) {
+    const size_t cap = priv->PackedSlotCapacity(s);
+    EXPECT_LE(cap * s, p_bits - 1) << "slot " << s;
+    EXPECT_GT((cap + 1) * s, p_bits - 1) << "slot " << s;
+  }
+  EXPECT_EQ(priv->PackedSlotCapacity(0), 0u);
+
+  auto c = priv->public_key().EncryptU64(5, &rng);
+  ASSERT_TRUE(c.ok());
+  uint64_t out = 0;
+  // The widest legal slot: one slot of |p| - 1 bits.
+  ASSERT_TRUE(priv->DecryptPackedMod2Ell(&*c, 1, p_bits - 1, 64, &out).ok());
+  EXPECT_EQ(out, 5u);
+  for (unsigned s : {static_cast<unsigned>(p_bits),
+                     static_cast<unsigned>(p_bits + 40)}) {
+    Status st = priv->DecryptPackedMod2Ell(&*c, 1, s, 64, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "slot " << s;
+    st = priv->DecryptPackedMod2EllBatch(&*c, 1, s, 64, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "slot " << s;
+  }
+}
+
+// Building the pool on worker threads changes nothing: the r values
+// come off the rng serially in one order, so pools built serially, on
+// one worker and on four draw identical masks and leave the rng in the
+// same state.
+TEST_F(PaillierTest, RandomizerPoolMasksIndependentOfThreads) {
+  ThreadPool one(1), four(4);
+  std::vector<std::vector<BigInt>> outputs;
+  std::vector<uint64_t> after;
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SecureRandom build_rng(uint64_t{60606});
+    RandomizerPool pool(kp_->pub, 16, &build_rng, threads);
+    after.push_back(build_rng.NextU64());
+    // Rerandomizing 1 = Enc(0; 1) exposes the pairwise mask products;
+    // 256 draws over 16 masks touch every mask with overwhelming
+    // probability.
+    SecureRandom draw_rng(uint64_t{70707});
+    std::vector<BigInt> masks;
+    for (int i = 0; i < 256; ++i) {
+      masks.push_back(
+          pool.Rerandomize(kp_->pub.TrivialEncrypt(BigInt()), &draw_rng).value);
+    }
+    outputs.push_back(std::move(masks));
+  }
+  EXPECT_EQ(outputs[0], outputs[1]);
+  EXPECT_EQ(outputs[0], outputs[2]);
+  EXPECT_EQ(after[0], after[1]);
+  EXPECT_EQ(after[0], after[2]);
+
+  // The masks are the Enc(0) values of 16 fresh Encrypt calls on the
+  // same rng, multiplied pairwise in the order the draws pick them.
+  SecureRandom build_rng(uint64_t{60606});
+  std::vector<BigInt> enc_zero;
+  for (int i = 0; i < 16; ++i) {
+    auto c = kp_->pub.Encrypt(BigInt(), &build_rng);
+    ASSERT_TRUE(c.ok());
+    enc_zero.push_back(c->value);
+  }
+  EXPECT_EQ(build_rng.NextU64(), after[0]);
+  SecureRandom draw_rng(uint64_t{70707});
+  for (int i = 0; i < 256; ++i) {
+    const BigInt& a = enc_zero[draw_rng.UniformU64(16)];
+    const BigInt& b = enc_zero[draw_rng.UniformU64(16)];
+    EXPECT_EQ(outputs[0][i], a.ModMul(b, kp_->pub.n_squared())) << i;
   }
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "crypto/paillier.h"
 #include "crypto/secret_sharing.h"
 #include "shuffle/oblivious_shuffle.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace shuffle {
@@ -185,6 +188,56 @@ TEST_F(EosTest, CommunicationIncludesCiphertextTraffic) {
   uint64_t min_cipher_traffic =
       3ull * secrets.size() * keys_->pub.CiphertextBytes();
   EXPECT_GE(ledger.bytes_sent(Role::kShuffler), min_cipher_traffic);
+}
+
+// The post-EOS columns depend only on the input state and the protocol
+// rng: never on whether a thread pool runs the rerandomization, on its
+// size, or on which worker picks up which chunk. Several chunks per
+// round make the scheduling visible; both re-mask modes are covered
+// (the exact mode, a fresh modexp per row, over fewer rows).
+TEST_F(EosTest, ColumnsBitwiseEqualAcrossPoolSizesAndRepeats) {
+  std::vector<uint64_t> secrets(2100);
+  for (size_t i = 0; i < secrets.size(); ++i) secrets[i] = i * 0x9E3779B9;
+  const EosState full = MakeState(secrets, 3, 64);
+  EosState short_input = full;
+  for (auto& column : short_input.plain.columns) column.resize(1100);
+  short_input.cipher_column.resize(1100);
+  ThreadPool one(1), three(3), four(4);
+  for (const crypto::RandomizerPool* masks :
+       {static_cast<const crypto::RandomizerPool*>(pool_),
+        static_cast<const crypto::RandomizerPool*>(nullptr)}) {
+    const EosState& input = masks != nullptr ? full : short_input;
+    std::vector<EosState> outputs;
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &one,
+                                &three, &four, &four, &three}) {
+      EosState state = input;
+      EosOptions opts;
+      opts.public_key = &keys_->pub;
+      opts.pool = masks;
+      opts.thread_pool = threads;
+      crypto::SecureRandom rng(uint64_t{8080});
+      CostLedger ledger;
+      ASSERT_TRUE(
+          RunEncryptedObliviousShuffle(&state, opts, &rng, &ledger).ok());
+      outputs.push_back(std::move(state));
+    }
+    for (size_t k = 1; k < outputs.size(); ++k) {
+      const std::string where = std::string(masks ? "pool" : "exact") +
+                                " masks, run " + std::to_string(k);
+      EXPECT_EQ(outputs[k].plain.columns, outputs[0].plain.columns) << where;
+      EXPECT_EQ(outputs[k].e_holder, outputs[0].e_holder) << where;
+      ASSERT_EQ(outputs[k].cipher_column.size(),
+                outputs[0].cipher_column.size());
+      size_t differing = 0;
+      for (size_t i = 0; i < outputs[0].cipher_column.size(); ++i) {
+        if (outputs[k].cipher_column[i].value !=
+            outputs[0].cipher_column[i].value) {
+          ++differing;
+        }
+      }
+      EXPECT_EQ(differing, 0u) << where;
+    }
+  }
 }
 
 }  // namespace

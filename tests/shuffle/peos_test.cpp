@@ -151,6 +151,15 @@ TEST(PeosTest, RejectsBadConfig) {
   EXPECT_FALSE(RunPeos(oracle, {}, config, &rng).ok());
   config.ell = 1;  // smaller than the oracle's ordinal width
   EXPECT_FALSE(RunPeos(oracle, {1, 2}, config, &rng).ok());
+
+  // A key whose p cannot hold one packed slot is refused up front; there
+  // is no wider decryption path to fall back to.
+  ldp::LocalHash solh(4.0, 915, 16, "SOLH");
+  ASSERT_GT(PeosPackedSlotBits(solh.PackedBits(), 3), 31u);
+  config = FastConfig(3, 0);
+  config.paillier_bits = 64;  // |p| = 32
+  auto tiny_key = RunPeos(solh, {1, 2}, config, &rng);
+  EXPECT_EQ(tiny_key.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
